@@ -5,8 +5,8 @@ O(n_x * n_modes^2), and dominate runtime whenever the mode count is not
 tiny. Each ships in two equivalent implementations: a numba @njit version
 and a pure-numpy one. The numba path is used when numba imports cleanly
 and the environment variable KG_LAB_NO_NUMBA is unset/empty/"0"; setting
-KG_LAB_NO_NUMBA=1 forces the numpy path. `benchmarks/bench_kernels.py`
-times the two against each other.
+KG_LAB_NO_NUMBA=1 forces the numpy path. The `mode-scan` workload of
+`kgbench/run.py` times `pair_density` inside `superposition_density`.
 
 Everything here is convention-free: coefficients are plane-wave amplitudes
 A_j of sum_j A_j exp(i(k_j x - omega_j t)); normalization and physical

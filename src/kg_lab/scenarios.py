@@ -7,9 +7,11 @@ wholesale), unknown keys are rejected with their dotted path, and every
 resolved value is echoed into the run metadata so no default is silent.
 
 Output determinism: identical config and arguments produce byte-identical
-files. All floats are written with 17 significant digits, JSON keys are
-sorted, newlines are '\n', and nothing time- or path-dependent is emitted
-beyond what the config itself contains.
+files. Every float is written as '%.17g' would write it, except that
+non-finite values are spelled NaN, Infinity and -Infinity (the negative
+branch of branch-demo writes NaN columns). JSON keys are sorted, newlines
+are '\n', and nothing time- or path-dependent is emitted beyond what the
+config itself contains.
 """
 from __future__ import annotations
 
@@ -394,19 +396,29 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
+def _format_floats(template: str, values: Any) -> str:
+    """Fill a template of '%.17g' slots with values in one %-operation.
+
+    '%' writes non-finite values as nan, inf and -inf (never -nan); they are
+    respelled NaN, Infinity and -Infinity here. No finite '%.17g' string
+    contains those letters, so the rewrite cannot touch a number.
+    """
+    return (template % tuple(values)).replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def _fmt(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return _format_floats("%.17g", (x,))
 
 
 def _dumps(obj: Any, indent: int = 0) -> str:
-    """JSON with sorted keys and 17-significant-digit floats."""
+    """JSON with sorted keys and 17-significant-digit floats.
+
+    A 1-D float ndarray is written like a list of floats.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        return "[" + _format_floats(("%.17g, " * obj.size)[:-2], obj.tolist()) + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -503,26 +515,23 @@ def _series_for(state: SpectralState, config: ScenarioConfig) -> ObservableSerie
 
 
 def _fields_csv(grid: Grid1D, blocks: list[dict[str, Any]]) -> str:
-    lines = [",".join(FIELD_COLUMNS)]
+    chunks = [",".join(FIELD_COLUMNS) + "\n"]
+    row = ",%.17g" * (len(FIELD_COLUMNS) - 1) + "\n"
     for block in blocks:
-        t_str = _fmt(block["t"])
-        cols = [block[name] for name in FIELD_COLUMNS[2:]]
-        for i, x in enumerate(grid.points):
-            lines.append(t_str + "," + _fmt(x) + "," + ",".join(_fmt(c[i]) for c in cols))
-    return "\n".join(lines) + "\n"
+        table = np.column_stack([grid.points] + [block[name] for name in FIELD_COLUMNS[2:]])
+        chunks.append(_format_floats((_fmt(block["t"]) + row) * grid.n, table.ravel().tolist()))
+    return "".join(chunks)
 
 
 def _summary_csv(rows: list[dict[str, float]]) -> str:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[name]) for name in SUMMARY_COLUMNS))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(SUMMARY_COLUMNS)) + "\n"
+    values = [r[name] for r in rows for name in SUMMARY_COLUMNS]
+    return ",".join(SUMMARY_COLUMNS) + "\n" + _format_floats(row * len(rows), values)
 
 
 def _fields_json(grid: Grid1D, blocks: list[dict[str, Any]]) -> str:
     payload = [
-        {"t": block["t"], "x": [float(v) for v in grid.points],
-         **{name: [float(v) for v in block[name]] for name in FIELD_COLUMNS[2:]}}
+        {"t": block["t"], "x": grid.points, **{name: block[name] for name in FIELD_COLUMNS[2:]}}
         for block in blocks
     ]
     return _dumps({"fields": payload}) + "\n"
