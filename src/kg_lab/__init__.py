@@ -38,7 +38,7 @@ from .states import (
     rest_phase_strip,
     superposition,
 )
-from .propagation import EvolutionResult, evolve, evolve_batch, kg_residual
+from .propagation import EvolutionResult, evolve, kg_residual
 from .observables import (
     DensityCurrentFields,
     Moments,
@@ -66,7 +66,7 @@ __all__ = [
     "unphysical_negative_branch",
     "ModeSet", "PacketSpec", "SpectralState", "from_coefficients", "gaussian_packet",
     "rest_phase_strip", "superposition",
-    "EvolutionResult", "evolve", "evolve_batch", "kg_residual",
+    "EvolutionResult", "evolve", "kg_residual",
     "DensityCurrentFields", "Moments", "SuperpositionDensity", "TwoModeSpec",
     "amended_fields", "compute_fields", "continuity_residual", "current_std",
     "density_kg", "moments", "superposition_density", "two_mode_density_of_phase",

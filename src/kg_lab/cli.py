@@ -14,12 +14,10 @@ from typing import Optional, Sequence
 
 from .errors import BandwidthError, ConfigError
 from .scenarios import (
-    BLURBS,
+    SCENARIOS,
     RunResult,
     SUMMARY_COLUMNS,
-    default_config,
     run_scenario,
-    scenario_names,
     validate_config,
 )
 
@@ -55,8 +53,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    for name in scenario_names():
-        print(f"{name}: {BLURBS[name]}")
+    for name, scenario in SCENARIOS.items():
+        print(f"{name}: {scenario.blurb}")
     return EXIT_OK
 
 

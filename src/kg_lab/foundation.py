@@ -39,6 +39,15 @@ class UnitSystem:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
+        # Finite, positive constants can still over- or underflow in the
+        # products the physics forms from them (m c^2, rest_omega^2).
+        c2 = self.c * self.c
+        rest = self.m * c2 / self.hbar
+        for label, value in (("c*c", c2), ("m*c*c", self.m * c2),
+                             ("rest_omega", rest), ("rest_omega**2", rest * rest)):
+            if not (math.isfinite(value) and value != 0.0):
+                raise ValueError(f"{label} is {value!r} for hbar={self.hbar!r}, c={self.c!r}, "
+                                 f"m={self.m!r}; it must be finite and nonzero")
 
     @property
     def rest_omega(self) -> float:

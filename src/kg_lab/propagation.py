@@ -8,7 +8,6 @@ spectral data via -i omega_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,16 +43,6 @@ def evolve(state: SpectralState, t: float) -> EvolutionResult:
         state.grid, state.units, state.kind, coefficients, time=state.time + float(t)
     )
     return _derivatives(new_state, omegas)
-
-
-def evolve_batch(state: SpectralState, times: Sequence[float]) -> list[EvolutionResult]:
-    """Evolve to several offsets from the state's current time.
-
-    Samples are independent of each other (each one phase multiplication
-    from the input state), so they may be computed in any order or in
-    parallel; this implementation just loops.
-    """
-    return [evolve(state, t) for t in times]
 
 
 def _spectral_residual(coefficients: np.ndarray, omegas: np.ndarray,

@@ -5,6 +5,8 @@ file that names one and overrides fields. The schema is strict: a key is
 legal only where the scenario's default config has one (lists replace
 wholesale), unknown keys are rejected with their dotted path, and every
 resolved value is echoed into the run metadata so no default is silent.
+A scenario is one entry of the SCENARIOS registry: its overrides of the
+shared defaults, its blurb, and its runner.
 
 Output determinism: identical config and arguments produce byte-identical
 files. Every float is written as '%.17g' would write it, except that
@@ -20,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -36,13 +38,14 @@ from .dispersion import (
 from .errors import BandwidthError, ConfigError
 from .foundation import Grid1D, UnitSystem, make_grid, state_norm
 from .observables import (
+    DensityCurrentFields,
+    SuperpositionDensity,
+    TwoModeSpec,
     compute_fields,
     continuity_residual,
-    density_kg,
     moments,
     superposition_density,
     two_mode_min_density,
-    TwoModeSpec,
 )
 from .propagation import evolve
 from .states import ModeSet, PacketSpec, SpectralState, gaussian_packet, rest_phase_strip, superposition
@@ -61,111 +64,18 @@ def _normalized(raw: list[complex]) -> list[complex]:
 _SCAN_AMPLITUDES = _normalized([1.0, 0.8 + 0.3j, 0.6, 0.45 - 0.15j, 0.35, 0.25 + 0.1j])
 _SCAN_INDICES = [5, 12, 21, 34, 55, 89]
 
-CATALOG: dict[str, dict[str, Any]] = {
-    "packet-continuity": {
-        "scenario": "packet-continuity",
-        "grid": {"n": 4096, "length": 400.0},
-        "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
-        "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 10.0}},
-        "times": [0.0, 10.0, 20.0, 30.0, 40.0, 50.0],
-        "dt_continuity": 1e-3,
-        "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
-        "format": "csv",
-        "output": "kg-lab-out",
-    },
-    "gamma-density": {
-        "scenario": "gamma-density",
-        "grid": {"n": 4096, "length": 400.0},
-        "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
-        "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 20.0}},
-        "times": [0.0],
-        "dt_continuity": 1e-3,
-        "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
-        "format": "csv",
-        "output": "kg-lab-out",
-    },
-    "amended": {
-        "scenario": "amended",
-        "grid": {"n": 4096, "length": 400.0},
-        "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
-        "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 20.0}},
-        "times": [0.0],
-        "dt_continuity": 1e-3,
-        "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
-        "format": "csv",
-        "output": "kg-lab-out",
-    },
-    "branch-demo": {
-        "scenario": "branch-demo",
-        "grid": {"n": 512, "length": 2.0 * math.pi * 64.0 / 3.0},
-        "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
-        "state": {"mode": {"index": 64}},
-        "times": [0.0],
-        "dt_continuity": 1e-3,
-        "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
-        "format": "csv",
-        "output": "kg-lab-out",
-    },
-    "two-mode": {
-        "scenario": "two-mode",
-        "grid": {"n": 4096, "length": 400.0},
-        "units": {"hbar": 1.0, "c": 1.0, "m": 1.0},
-        "state": {"two_mode": {"a1_sq": 0.9, "a2_sq": 0.1, "omega1": 1.0, "omega2": 5.0}},
-        "times": [0.0],
-        # beats at omega2 - omega1 need a finer centered difference than packets
-        "dt_continuity": 1e-5,
-        "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
-        "format": "csv",
-        "output": "kg-lab-out",
-    },
-    "superposition-scan": {
-        "scenario": "superposition-scan",
-        "grid": {"n": 1024, "length": 400.0},
-        "units": {"hbar": 1.0, "c": 1.0, "m": 1.0},
-        "state": {"modes": [
-            {"amplitude_re": a.real, "amplitude_im": a.imag, "index": j}
-            for a, j in zip(_SCAN_AMPLITUDES, _SCAN_INDICES)
-        ]},
-        "times": [0.0, 2.5, 5.0],
-        "dt_continuity": 1e-4,
-        "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
-        "format": "csv",
-        "output": "kg-lab-out",
-    },
-    "nonrel-limit": {
-        "scenario": "nonrel-limit",
-        "grid": {"n": 4096, "length": 400.0},
-        "units": {"hbar": 1.0, "c": 10.0, "m": 1.0},
-        "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 20.0}},
-        "times": [5.0],
-        "strip_time": 5.0,
-        "c_factor": 2.0,
-        "dt_continuity": 1e-3,
-        "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
-        "format": "csv",
-        "output": "kg-lab-out",
-    },
+# Every scenario's config is this block with its own overrides of whole
+# top-level entries laid over it (see SCENARIOS).
+_SHARED_DEFAULTS: dict[str, Any] = {
+    "grid": {"n": 4096, "length": 400.0},
+    "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
+    "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 20.0}},
+    "times": [0.0],
+    "dt_continuity": 1e-3,
+    "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
+    "format": "csv",
+    "output": "kg-lab-out",
 }
-
-BLURBS = {
-    "packet-continuity": "Gaussian packet; continuity residual for the conserved and amended pairs over time",
-    "gamma-density": "broad packet; pointwise comparison of the conserved density against gamma_bar * psi*psi",
-    "amended": "broad packet; amended fields reduce to psi*psi and the carrier group velocity",
-    "branch-demo": "plane wave on both frequency branches; the conserved density flips sign on the negative one",
-    "two-mode": "two-mode interference; closed-form phase minimum and a realized negative grid density",
-    "superposition-scan": "multi-mode superposition; amplitude-space density scan cross-checked against the state density",
-    "nonrel-limit": "rest-phase-stripped packet against its Schrodinger twin; the gap falls quadratically in 1/c",
-}
-
-
-def scenario_names() -> list[str]:
-    return list(CATALOG)
-
-
-def default_config(name: str) -> dict[str, Any]:
-    if name not in CATALOG:
-        raise ConfigError(f"unknown scenario {name!r}; known: {', '.join(CATALOG)}")
-    return copy.deepcopy(CATALOG[name])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +235,9 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
             packet = PacketSpec(x0=float(p["x0"]), k0=float(p["k0"]), sigma=float(p["sigma"]))
         except ValueError as exc:
             raise ConfigError(f"state.packet: {exc}") from exc
-        packet.validate_on(grid)  # BandwidthError propagates as a support violation
+        # Build the state run will build, so that validate raises the same
+        # support or Nyquist BandwidthError that run would.
+        gaussian_packet(packet, grid, units, DispersionKind.KLEIN_GORDON_POSITIVE)
         kwargs["packet"] = packet
     elif "modes" in state:
         entries = [_validate_mode_entry(e, f"state.modes[{i}]") for i, e in enumerate(state["modes"])]
@@ -384,6 +296,10 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
         factor = float(_require_number(resolved["c_factor"], "c_factor"))
         if factor <= 1.0:
             raise ConfigError(f"c_factor: must exceed 1, got {factor}")
+        try:  # the unit system the run builds with c raised by the factor
+            UnitSystem(hbar=units.hbar, c=units.c * factor, m=units.m)
+        except ValueError as exc:
+            raise ConfigError(f"c_factor: {exc}") from exc
         kwargs["c_factor"] = factor
 
     return ScenarioConfig(
@@ -470,22 +386,36 @@ class RunResult:
     series: dict[str, ObservableSeries]
 
 
-def _series_for(state: SpectralState, config: ScenarioConfig) -> ObservableSeries:
+@dataclass(frozen=True, eq=False)
+class _Sample:
+    """One sample time: the fields of the evolved state and those at t -/+ dt."""
+
+    t: float
+    fields: DensityCurrentFields
+    before: DensityCurrentFields
+    after: DensityCurrentFields
+
+
+def _series_for(state: SpectralState,
+                config: ScenarioConfig) -> tuple[ObservableSeries, list[_Sample]]:
     """Evolve to each sample time and collect summary rows and field blocks.
 
-    Moments are taken on the conserved density for the positive branch and
-    on psi*psi otherwise (the conserved density need not be a positive
-    measure off the physical branch).
+    Each sample's fields at t and t -/+ dt are returned too, so that runners
+    read them rather than evolving again. Moments are taken on the
+    conserved density for the positive branch and on psi*psi otherwise (the
+    conserved density need not be a positive measure off the physical
+    branch).
     """
     grid, dt = config.grid, config.dt_continuity
-    summary, blocks = [], []
+    rho_pair_name = "rho_kg" if state.kind is not DispersionKind.SCHRODINGER else "rho_nonrel"
+    summary, blocks, samples = [], [], []
     for t in config.times:
         result = evolve(state, t)
         fields = compute_fields(result, spread_tol=config.gamma_spread_tol)
-        rho_pair_name = "rho_kg" if state.kind is not DispersionKind.SCHRODINGER else "rho_nonrel"
-        before = getattr(compute_fields(evolve(state, t - dt)), rho_pair_name)
-        after = getattr(compute_fields(evolve(state, t + dt)), rho_pair_name)
-        residual = continuity_residual(before, after, fields.j_std, dt, grid)
+        before = compute_fields(evolve(state, t - dt))
+        after = compute_fields(evolve(state, t + dt))
+        residual = continuity_residual(getattr(before, rho_pair_name),
+                                       getattr(after, rho_pair_name), fields.j_std, dt, grid)
         mom_rho = fields.rho_kg if state.kind is DispersionKind.KLEIN_GORDON_POSITIVE \
             else fields.rho_nonrel
         mom = moments(mom_rho, grid)
@@ -511,7 +441,8 @@ def _series_for(state: SpectralState, config: ScenarioConfig) -> ObservableSerie
             "j_std": fields.j_std,
             "j_amended": fields.j_amended,
         })
-    return ObservableSeries(summary=summary, field_blocks=blocks)
+        samples.append(_Sample(t, fields, before, after))
+    return ObservableSeries(summary=summary, field_blocks=blocks), samples
 
 
 def _fields_csv(grid: Grid1D, blocks: list[dict[str, Any]]) -> str:
@@ -542,18 +473,21 @@ def _summary_json(rows: list[dict[str, float]]) -> str:
 
 
 def _write_series(out: Path, stem: str, grid: Grid1D, series: ObservableSeries,
-                  fmt: str, files: list[Path]) -> None:
-    if fmt == "csv":
-        fields_path = out / f"{stem}_fields.csv"
-        summary_path = out / f"{stem}_summary.csv"
-        _write_text(fields_path, _fields_csv(grid, series.field_blocks))
-        _write_text(summary_path, _summary_csv(series.summary))
-    else:
-        fields_path = out / f"{stem}_fields.json"
-        summary_path = out / f"{stem}_summary.json"
-        _write_text(fields_path, _fields_json(grid, series.field_blocks))
-        _write_text(summary_path, _summary_json(series.summary))
-    files.extend([fields_path, summary_path])
+                  fmt: str) -> list[Path]:
+    fields_text, summary_text = (_fields_csv, _summary_csv) if fmt == "csv" \
+        else (_fields_json, _summary_json)
+    fields_path, summary_path = out / f"{stem}_fields.{fmt}", out / f"{stem}_summary.{fmt}"
+    _write_text(fields_path, fields_text(grid, series.field_blocks))
+    _write_text(summary_path, summary_text(series.summary))
+    return [fields_path, summary_path]
+
+
+_KG_PLUS = DispersionKind.KLEIN_GORDON_POSITIVE
+
+# What a runner returns: the series to write (keyed "main", or by branch
+# label, in file order), its entries of the run's "derived" block, and its
+# "results" block.
+_RunnerOutput = tuple[dict[str, ObservableSeries], dict[str, Any], dict[str, Any]]
 
 
 def _packet_state(config: ScenarioConfig, kind: DispersionKind,
@@ -561,180 +495,227 @@ def _packet_state(config: ScenarioConfig, kind: DispersionKind,
     return gaussian_packet(config.packet, config.grid, units or config.units, kind)
 
 
-def _gamma_derived(state: SpectralState, config: ScenarioConfig) -> dict[str, Any]:
+def _main_series(state: SpectralState, config: ScenarioConfig
+                 ) -> tuple[dict[str, ObservableSeries], dict[str, Any], list[_Sample]]:
+    """The frame of a one-state scenario: its series, gamma statistics and samples."""
+    main, samples = _series_for(state, config)
     stats = gamma_of_state(state)
-    return {
+    derived = {
         "gamma_bar": stats.gamma_bar,
         "gamma_spread": stats.gamma_spread,
         "gamma_spread_flag": stats.relative_spread > config.gamma_spread_tol,
     }
+    return {"main": main}, derived, samples
+
+
+def _grid_scan(modes: ModeSet, config: ScenarioConfig
+               ) -> tuple[dict[str, Any], list[SuperpositionDensity]]:
+    """Amplitude-space density at each sample time: its minima, and the densities."""
+    densities = [superposition_density(modes, t, config.grid, config.units)
+                 for t in config.times]
+    return {
+        "grid_scan": [{"t": t, "min_density": sd.minimum, "argmin_x": sd.argmin_x}
+                      for t, sd in zip(config.times, densities)],
+        "min_density": min(sd.minimum for sd in densities),
+    }, densities
+
+
+def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
+    series, derived, samples = _main_series(_packet_state(config, _KG_PLUS), config)
+    derived["group_velocity_carrier"] = group_velocity(_KG_PLUS, config.packet.k0, config.units)
+    dt, grid = config.dt_continuity, config.grid
+    rows = [{
+        "t": s.t,
+        "residual_conserved": continuity_residual(
+            s.before.rho_kg, s.after.rho_kg, s.fields.j_std, dt, grid),
+        "residual_amended": continuity_residual(
+            s.before.rho_amended, s.after.rho_amended, s.fields.j_amended, dt, grid),
+    } for s in samples]
+    return series, derived, {
+        "continuity": rows,
+        "max_residual_conserved": max(r["residual_conserved"] for r in rows),
+        "max_residual_amended": max(r["residual_amended"] for r in rows),
+    }
+
+
+def _run_gamma_density(config: ScenarioConfig) -> _RunnerOutput:
+    series, derived, samples = _main_series(_packet_state(config, _KG_PLUS), config)
+    deviations = []
+    for s in samples:
+        rho_nonrel = s.fields.rho_nonrel
+        mask = rho_nonrel >= 1e-3 * rho_nonrel.max()
+        rel = np.abs(s.fields.rho_kg[mask] / (derived["gamma_bar"] * rho_nonrel[mask]) - 1.0)
+        deviations.append({"t": s.t, "max_rel_deviation": float(rel.max())})
+    return series, derived, {"density_vs_gamma": deviations, "mask_threshold": 1e-3}
+
+
+def _run_amended(config: ScenarioConfig) -> _RunnerOutput:
+    series, derived, samples = _main_series(_packet_state(config, _KG_PLUS), config)
+    vg = group_velocity(_KG_PLUS, config.packet.k0, config.units)
+    derived["group_velocity_carrier"] = vg
+    rows = []
+    for s in samples:
+        fields = s.fields
+        gap = np.linalg.norm(fields.rho_amended - fields.rho_nonrel)
+        ref = np.linalg.norm(fields.rho_nonrel)
+        peak = int(np.argmax(fields.rho_amended))
+        velocity = fields.j_amended[peak] / fields.rho_amended[peak]
+        rows.append({
+            "t": s.t,
+            "l2_ratio_to_nonrel": float(gap / ref),
+            "peak_velocity_ratio": float(velocity / vg),
+        })
+    return series, derived, {"amended_reduction": rows}
+
+
+def _run_branch_demo(config: ScenarioConfig) -> _RunnerOutput:
+    k = _lattice_k(config.grid, config.mode_index, "state.mode")
+    mode = ModeSet([(1.0, k)])
+    series, branches = {}, {}
+    for label, kind in (("positive", _KG_PLUS), ("negative", unphysical_negative_branch())):
+        state = superposition(mode, config.grid, config.units, kind)
+        series[label], samples = _series_for(state, config)
+        branches[label] = {"density_ratio_mean": [
+            float(np.mean(s.fields.rho_kg / s.fields.rho_nonrel)) for s in samples]}
+    return series, {}, {
+        "branches": branches,
+        "mode_k": k,
+        "mode_omega": omega(_KG_PLUS, k, config.units),
+    }
+
+
+def _run_two_mode(config: ScenarioConfig) -> _RunnerOutput:
+    tm, units = config.two_mode, config.units
+    spec = TwoModeSpec(a1=math.sqrt(tm["a1_sq"]), a2=math.sqrt(tm["a2_sq"]),
+                       omega1=tm["omega1"], omega2=tm["omega2"])
+    results: dict[str, Any] = {"analytic_min": two_mode_min_density(spec, units)}
+    ks = []
+    for wname in ("omega1", "omega2"):
+        w = tm[wname]
+        k_raw = math.sqrt(max(0.0, (w / units.c) ** 2 - units.compton_wavenumber**2))
+        index = int(round(k_raw * config.grid.length / (2.0 * math.pi)))
+        ks.append(_lattice_k(config.grid, index, "state.two_mode"))
+    if ks[0] == ks[1]:
+        raise BandwidthError("state.two_mode: frequencies resolve to the same lattice mode")
+    mode_set = ModeSet([(spec.a1, ks[0]), (spec.a2, ks[1])])
+    series, derived, _ = _main_series(superposition(mode_set, config.grid, units, _KG_PLUS),
+                                      config)
+    results["realized_lattice"] = {
+        "k1": ks[0], "k2": ks[1],
+        "omega1": omega(_KG_PLUS, ks[0], units), "omega2": omega(_KG_PLUS, ks[1], units),
+    }
+    results.update(_grid_scan(mode_set, config)[0])
+    return series, derived, results
+
+
+def _run_superposition_scan(config: ScenarioConfig) -> _RunnerOutput:
+    state = superposition(config.modes, config.grid, config.units, _KG_PLUS)
+    series, derived, samples = _main_series(state, config)
+    results, densities = _grid_scan(config.modes, config)
+    results["amplitude_vs_state_max_diff"] = max(
+        float(np.max(np.abs(sd.rho - s.fields.rho_kg))) for sd, s in zip(densities, samples))
+    return series, derived, results
+
+
+def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
+    series, derived, _ = _main_series(_packet_state(config, _KG_PLUS), config)
+    gaps = {}
+    for label, factor in (("base", 1.0), ("doubled", config.c_factor)):
+        units = UnitSystem(hbar=config.units.hbar, c=config.units.c * factor,
+                           m=config.units.m)
+        kg_t = rest_phase_strip(evolve(_packet_state(config, _KG_PLUS, units),
+                                       config.strip_time).state)
+        sch_t = evolve(_packet_state(config, DispersionKind.SCHRODINGER, units),
+                       config.strip_time).state
+        gap = np.linalg.norm(kg_t.values - sch_t.values) * math.sqrt(config.grid.dx)
+        gaps[label] = {"c": units.c, "l2_gap": float(gap)}
+    return series, derived, {
+        "gaps": gaps,
+        "gap_ratio": gaps["base"]["l2_gap"] / gaps["doubled"]["l2_gap"],
+        "strip_time": config.strip_time,
+    }
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One catalog entry: overrides of the shared defaults, a blurb, a runner."""
+
+    overrides: dict[str, Any]
+    blurb: str
+    run: Callable[[ScenarioConfig], _RunnerOutput]
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "packet-continuity": Scenario(
+        {"state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 10.0}},
+         "times": [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]},
+        "Gaussian packet; continuity residual for the conserved and amended pairs over time",
+        _run_packet_continuity),
+    "gamma-density": Scenario(
+        {},
+        "broad packet; pointwise comparison of the conserved density against gamma_bar * psi*psi",
+        _run_gamma_density),
+    "amended": Scenario(
+        {},
+        "broad packet; amended fields reduce to psi*psi and the carrier group velocity",
+        _run_amended),
+    "branch-demo": Scenario(
+        {"grid": {"n": 512, "length": 2.0 * math.pi * 64.0 / 3.0},
+         "state": {"mode": {"index": 64}}},
+        "plane wave on both frequency branches; the conserved density flips sign on the negative one",
+        _run_branch_demo),
+    "two-mode": Scenario(
+        {"units": {"hbar": 1.0, "c": 1.0, "m": 1.0},
+         "state": {"two_mode": {"a1_sq": 0.9, "a2_sq": 0.1, "omega1": 1.0, "omega2": 5.0}},
+         # beats at omega2 - omega1 need a finer centered difference than packets
+         "dt_continuity": 1e-5},
+        "two-mode interference; closed-form phase minimum and a realized negative grid density",
+        _run_two_mode),
+    "superposition-scan": Scenario(
+        {"grid": {"n": 1024, "length": 400.0},
+         "units": {"hbar": 1.0, "c": 1.0, "m": 1.0},
+         "state": {"modes": [
+             {"amplitude_re": a.real, "amplitude_im": a.imag, "index": j}
+             for a, j in zip(_SCAN_AMPLITUDES, _SCAN_INDICES)
+         ]},
+         "times": [0.0, 2.5, 5.0],
+         "dt_continuity": 1e-4},
+        "multi-mode superposition; amplitude-space density scan cross-checked against the state density",
+        _run_superposition_scan),
+    "nonrel-limit": Scenario(
+        {"units": {"hbar": 1.0, "c": 10.0, "m": 1.0},
+         "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 20.0}},
+         "times": [5.0],
+         "strip_time": 5.0,
+         "c_factor": 2.0},
+        "rest-phase-stripped packet against its Schrodinger twin; the gap falls quadratically in 1/c",
+        _run_nonrel_limit),
+}
+
+
+def scenario_names() -> list[str]:
+    return list(SCENARIOS)
+
+
+def default_config(name: str) -> dict[str, Any]:
+    """The scenario's full default config: the shared block with its overrides laid over it."""
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
+    return copy.deepcopy({"scenario": name, **_SHARED_DEFAULTS, **SCENARIOS[name].overrides})
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute one scenario and write its outputs; returns what was written."""
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
-    results: dict[str, Any] = {}
     derived: dict[str, Any] = {"backend": _kernels.backend_name(),
                                "dt_continuity": config.dt_continuity}
-    series: dict[str, ObservableSeries] = {}
-    kg_plus = DispersionKind.KLEIN_GORDON_POSITIVE
-
-    if config.scenario == "packet-continuity":
-        state = _packet_state(config, kg_plus)
-        main = _series_for(state, config)
-        series["main"] = main
-        derived.update(_gamma_derived(state, config))
-        derived["group_velocity_carrier"] = group_velocity(kg_plus, config.packet.k0, config.units)
-        rows = []
-        for t in config.times:
-            result = evolve(state, t)
-            fields = compute_fields(result, spread_tol=config.gamma_spread_tol)
-            fb = compute_fields(evolve(state, t - config.dt_continuity))
-            fa = compute_fields(evolve(state, t + config.dt_continuity))
-            rows.append({
-                "t": t,
-                "residual_conserved": continuity_residual(
-                    fb.rho_kg, fa.rho_kg, fields.j_std, config.dt_continuity, config.grid),
-                "residual_amended": continuity_residual(
-                    fb.rho_amended, fa.rho_amended, fields.j_amended,
-                    config.dt_continuity, config.grid),
-            })
-        results["continuity"] = rows
-        results["max_residual_conserved"] = max(r["residual_conserved"] for r in rows)
-        results["max_residual_amended"] = max(r["residual_amended"] for r in rows)
-        _write_series(out, config.scenario, config.grid, main, config.fmt, files)
-
-    elif config.scenario == "gamma-density":
-        state = _packet_state(config, kg_plus)
-        main = _series_for(state, config)
-        series["main"] = main
-        stats = _gamma_derived(state, config)
-        derived.update(stats)
-        gamma_bar = stats["gamma_bar"]
-        deviations = []
-        for t in config.times:
-            fields = compute_fields(evolve(state, t), spread_tol=config.gamma_spread_tol)
-            mask = fields.rho_nonrel >= 1e-3 * fields.rho_nonrel.max()
-            rel = np.abs(fields.rho_kg[mask] / (gamma_bar * fields.rho_nonrel[mask]) - 1.0)
-            deviations.append({"t": t, "max_rel_deviation": float(rel.max())})
-        results["density_vs_gamma"] = deviations
-        results["mask_threshold"] = 1e-3
-        _write_series(out, config.scenario, config.grid, main, config.fmt, files)
-
-    elif config.scenario == "amended":
-        state = _packet_state(config, kg_plus)
-        main = _series_for(state, config)
-        series["main"] = main
-        derived.update(_gamma_derived(state, config))
-        vg = group_velocity(kg_plus, config.packet.k0, config.units)
-        derived["group_velocity_carrier"] = vg
-        rows = []
-        for t in config.times:
-            fields = compute_fields(evolve(state, t), spread_tol=config.gamma_spread_tol)
-            gap = np.linalg.norm(fields.rho_amended - fields.rho_nonrel)
-            ref = np.linalg.norm(fields.rho_nonrel)
-            peak = int(np.argmax(fields.rho_amended))
-            velocity = fields.j_amended[peak] / fields.rho_amended[peak]
-            rows.append({
-                "t": t,
-                "l2_ratio_to_nonrel": float(gap / ref),
-                "peak_velocity_ratio": float(velocity / vg),
-            })
-        results["amended_reduction"] = rows
-        _write_series(out, config.scenario, config.grid, main, config.fmt, files)
-
-    elif config.scenario == "branch-demo":
-        k = _lattice_k(config.grid, config.mode_index, "state.mode")
-        mode = ModeSet([(1.0, k)])
-        branch_results = {}
-        for label, kind in (("positive", kg_plus),
-                            ("negative", unphysical_negative_branch())):
-            state = superposition(mode, config.grid, config.units, kind)
-            ser = _series_for(state, config)
-            series[label] = ser
-            ratios = []
-            for t in config.times:
-                fields = compute_fields(evolve(state, t), spread_tol=config.gamma_spread_tol)
-                ratios.append(float(np.mean(fields.rho_kg / fields.rho_nonrel)))
-            branch_results[label] = {"density_ratio_mean": ratios}
-            _write_series(out, f"{config.scenario}_{label}", config.grid, ser, config.fmt, files)
-        results["branches"] = branch_results
-        results["mode_k"] = k
-        results["mode_omega"] = omega(kg_plus, k, config.units)
-
-    elif config.scenario == "two-mode":
-        tm = config.two_mode
-        spec = TwoModeSpec(a1=math.sqrt(tm["a1_sq"]), a2=math.sqrt(tm["a2_sq"]),
-                           omega1=tm["omega1"], omega2=tm["omega2"])
-        results["analytic_min"] = two_mode_min_density(spec, config.units)
-        units = config.units
-        ks = []
-        for wname in ("omega1", "omega2"):
-            w = tm[wname]
-            k_raw = math.sqrt(max(0.0, (w / units.c) ** 2 - units.compton_wavenumber**2))
-            index = int(round(k_raw * config.grid.length / (2.0 * math.pi)))
-            ks.append(_lattice_k(config.grid, index, "state.two_mode"))
-        if ks[0] == ks[1]:
-            raise BandwidthError("state.two_mode: frequencies resolve to the same lattice mode")
-        mode_set = ModeSet([(spec.a1, ks[0]), (spec.a2, ks[1])])
-        state = superposition(mode_set, config.grid, config.units, kg_plus)
-        main = _series_for(state, config)
-        series["main"] = main
-        derived.update(_gamma_derived(state, config))
-        realized = {
-            "k1": ks[0], "k2": ks[1],
-            "omega1": omega(kg_plus, ks[0], units), "omega2": omega(kg_plus, ks[1], units),
-        }
-        results["realized_lattice"] = realized
-        scans = []
-        for t in config.times:
-            sd = superposition_density(mode_set, t, config.grid, units)
-            scans.append({"t": t, "min_density": sd.minimum, "argmin_x": sd.argmin_x})
-        results["grid_scan"] = scans
-        results["min_density"] = min(s["min_density"] for s in scans)
-        _write_series(out, config.scenario, config.grid, main, config.fmt, files)
-
-    elif config.scenario == "superposition-scan":
-        state = superposition(config.modes, config.grid, config.units, kg_plus)
-        main = _series_for(state, config)
-        series["main"] = main
-        derived.update(_gamma_derived(state, config))
-        scans, diffs = [], []
-        for t in config.times:
-            sd = superposition_density(config.modes, t, config.grid, config.units)
-            result = evolve(state, t)
-            direct = density_kg(result.state.values, result.dpsi_dt, config.units)
-            diffs.append(float(np.max(np.abs(sd.rho - direct))))
-            scans.append({"t": t, "min_density": sd.minimum, "argmin_x": sd.argmin_x})
-        results["grid_scan"] = scans
-        results["min_density"] = min(s["min_density"] for s in scans)
-        results["amplitude_vs_state_max_diff"] = max(diffs)
-        _write_series(out, config.scenario, config.grid, main, config.fmt, files)
-
-    elif config.scenario == "nonrel-limit":
-        state = _packet_state(config, kg_plus)
-        main = _series_for(state, config)
-        series["main"] = main
-        derived.update(_gamma_derived(state, config))
-        gaps = {}
-        for label, factor in (("base", 1.0), ("doubled", config.c_factor)):
-            units = UnitSystem(hbar=config.units.hbar, c=config.units.c * factor,
-                               m=config.units.m)
-            kg_state = _packet_state(config, kg_plus, units)
-            sch_state = _packet_state(config, DispersionKind.SCHRODINGER, units)
-            kg_t = rest_phase_strip(evolve(kg_state, config.strip_time).state)
-            sch_t = evolve(sch_state, config.strip_time).state
-            gap = np.linalg.norm(kg_t.values - sch_t.values) * math.sqrt(config.grid.dx)
-            gaps[label] = {"c": units.c, "l2_gap": float(gap)}
-        results["gaps"] = gaps
-        results["gap_ratio"] = gaps["base"]["l2_gap"] / gaps["doubled"]["l2_gap"]
-        results["strip_time"] = config.strip_time
-        _write_series(out, config.scenario, config.grid, main, config.fmt, files)
-
-    else:  # pragma: no cover - validate_config only admits catalog names
-        raise ConfigError(f"unknown scenario {config.scenario!r}")
+    series, scenario_derived, results = SCENARIOS[config.scenario].run(config)
+    derived.update(scenario_derived)
+    files: list[Path] = []
+    for label, ser in series.items():
+        stem = config.scenario if label == "main" else f"{config.scenario}_{label}"
+        files += _write_series(out, stem, config.grid, ser, config.fmt)
 
     metadata = {
         "scenario": config.scenario,

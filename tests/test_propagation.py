@@ -7,7 +7,6 @@ from kg_lab import (
     ModeSet,
     UnitSystem,
     evolve,
-    evolve_batch,
     from_coefficients,
     gaussian_packet,
     kg_residual,
@@ -117,16 +116,6 @@ def test_derivative_arrays_read_only(natural, grid_small):
         result.dpsi_dt[0] = 0.0
     with pytest.raises(ValueError):
         result.dpsi_dx[0] = 0.0
-
-
-def test_evolve_batch_matches_single(natural, grid_small):
-    rng = np.random.default_rng(4)
-    state = _random_state(rng, grid_small, natural, KG)
-    times = [0.0, 0.5, 2.0, 8.0]
-    batch = evolve_batch(state, times)
-    for t, result in zip(times, batch):
-        single = evolve(state, t)
-        np.testing.assert_array_equal(result.state.values, single.state.values)
 
 
 def test_schrodinger_packet_spreads(natural, grid400):

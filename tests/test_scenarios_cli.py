@@ -8,8 +8,8 @@ import pytest
 
 from kg_lab import BandwidthError, ConfigError
 from kg_lab.cli import main
+import kg_lab.scenarios
 from kg_lab.scenarios import (
-    CATALOG,
     FIELD_COLUMNS,
     SUMMARY_COLUMNS,
     default_config,
@@ -35,16 +35,16 @@ SMALL = dict(
 def test_defaults_fill_in():
     cfg = validate_config(_config_text("packet-continuity"))
     assert cfg.scenario == "packet-continuity"
-    assert cfg.resolved == CATALOG["packet-continuity"]
-    assert cfg.times == tuple(CATALOG["packet-continuity"]["times"])
+    assert cfg.resolved == default_config("packet-continuity")
+    assert cfg.times == tuple(default_config("packet-continuity")["times"])
     assert cfg.packet.sigma == 10.0
     assert cfg.fmt == "csv"
 
 
 def test_catalog_is_not_mutated_by_overrides():
-    before = json.dumps(CATALOG["gamma-density"], sort_keys=True, default=str)
+    before = json.dumps(default_config("gamma-density"), sort_keys=True, default=str)
     validate_config(_config_text("gamma-density", times=[1.0]))
-    assert json.dumps(CATALOG["gamma-density"], sort_keys=True, default=str) == before
+    assert json.dumps(default_config("gamma-density"), sort_keys=True, default=str) == before
 
 
 def test_every_catalog_default_validates():
@@ -211,9 +211,70 @@ def test_cli_run_and_validate(tmp_path, capsys):
 
 def test_cli_scenarios_lists_catalog(capsys):
     assert main(["scenarios"]) == 0
-    out = capsys.readouterr().out
-    for name in scenario_names():
-        assert name in out
+    names = [line.split(":", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == scenario_names() == [
+        "packet-continuity", "gamma-density", "amended", "branch-demo",
+        "two-mode", "superposition-scan", "nonrel-limit"]
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "packet-continuity", "units": {"m": 1e-300}},  # rest_omega**2 underflows
+    {"scenario": "branch-demo", "units": {"c": 1e-200}},  # m*c**2 underflows
+    {"scenario": "packet-continuity", "units": {"c": 1e200}},  # c**2 overflows
+    {"scenario": "nonrel-limit", "units": {"c": 1e77}},  # overflows once c is doubled
+])
+def test_extreme_units_exit_as_config_errors(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert captured.out == ""
+
+
+def test_validate_rejects_packet_that_fails_nyquist_check(tmp_path, capsys):
+    # Inside the support rule, but the built state leaks 1.6e-10 > 1e-10 of
+    # its norm into the Nyquist mode: validate must fail as run does.
+    text = _config_text("packet-continuity",
+                        state={"packet": {"x0": 48.0, "k0": 3.0, "sigma": 19.9}},
+                        times=[0.0])
+    with pytest.raises(BandwidthError, match="Nyquist"):
+        validate_config(text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["validate", str(cfg_path)]) == 3
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+
+
+# One catalog run evolves each (state, t) sample once: the sample time and
+# t -/+ dt_continuity per sample time and series, plus nonrel-limit's four
+# strip-time evolves.
+EVOLVE_CALLS = {
+    "packet-continuity": 18,
+    "gamma-density": 3,
+    "amended": 3,
+    "branch-demo": 6,
+    "two-mode": 3,
+    "superposition-scan": 9,
+    "nonrel-limit": 7,
+}
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_each_sample_is_evolved_once(tmp_path, monkeypatch, name):
+    calls = []
+    evolve = kg_lab.scenarios.evolve
+
+    def counting_evolve(state, t):
+        calls.append(t)
+        return evolve(state, t)
+
+    monkeypatch.setattr(kg_lab.scenarios, "evolve", counting_evolve)
+    run_scenario(validate_config(json.dumps(default_config(name)),
+                                 output_override=str(tmp_path)))
+    assert len(calls) == EVOLVE_CALLS[name]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
