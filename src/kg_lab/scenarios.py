@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .dispersion import (
     DEFAULT_GAMMA_SPREAD_TOL,
     DispersionKind,
@@ -178,6 +178,21 @@ def _lattice_k(grid: Grid1D, index: int, path: str) -> float:
     return 2.0 * math.pi * index / grid.length
 
 
+def _two_mode_k(grid: Grid1D, units: UnitSystem, w: float, path: str) -> float:
+    """The lattice wavenumber nearest the positive-branch k of frequency w."""
+    rest = units.rest_omega
+    # k = sqrt(w^2 - rest^2) / c, factored so that no square can overflow.
+    k = math.sqrt(max(0.0, w - rest)) * math.sqrt(w + rest) / units.c
+    position = k * grid.length / (2.0 * math.pi)
+    half = grid.n // 2
+    if not position < half:
+        raise BandwidthError(
+            f"{path}: wavenumber {k!r} lies at or beyond the Nyquist wavenumber "
+            f"{2.0 * math.pi * half / grid.length!r}"
+        )
+    return _lattice_k(grid, int(round(position)), path)
+
+
 def validate_config(text: str, *, output_override: Optional[str] = None,
                     format_override: Optional[str] = None) -> ScenarioConfig:
     """Parse and validate a JSON scenario config into a ScenarioConfig.
@@ -286,7 +301,11 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
         cutoff = units.rest_omega * (1.0 - 1e-12)
         if tm["omega1"] < cutoff or tm["omega2"] < cutoff:
             raise ConfigError("state.two_mode: frequencies must lie on or above the rest frequency")
-        kwargs["two_mode"] = {k: float(v) for k, v in tm.items()}
+        k1, k2 = (_two_mode_k(grid, units, float(tm[w]), f"state.two_mode.{w}")
+                  for w in ("omega1", "omega2"))
+        if k1 == k2:
+            raise BandwidthError("state.two_mode: frequencies resolve to the same lattice mode")
+        kwargs["two_mode"] = {**{k: float(v) for k, v in tm.items()}, "k1": k1, "k2": k2}
     else:  # pragma: no cover - catalog defaults always carry a state block
         raise ConfigError("state: missing state specification")
 
@@ -589,20 +608,13 @@ def _run_two_mode(config: ScenarioConfig) -> _RunnerOutput:
     spec = TwoModeSpec(a1=math.sqrt(tm["a1_sq"]), a2=math.sqrt(tm["a2_sq"]),
                        omega1=tm["omega1"], omega2=tm["omega2"])
     results: dict[str, Any] = {"analytic_min": two_mode_min_density(spec, units)}
-    ks = []
-    for wname in ("omega1", "omega2"):
-        w = tm[wname]
-        k_raw = math.sqrt(max(0.0, (w / units.c) ** 2 - units.compton_wavenumber**2))
-        index = int(round(k_raw * config.grid.length / (2.0 * math.pi)))
-        ks.append(_lattice_k(config.grid, index, "state.two_mode"))
-    if ks[0] == ks[1]:
-        raise BandwidthError("state.two_mode: frequencies resolve to the same lattice mode")
-    mode_set = ModeSet([(spec.a1, ks[0]), (spec.a2, ks[1])])
+    k1, k2 = tm["k1"], tm["k2"]
+    mode_set = ModeSet([(spec.a1, k1), (spec.a2, k2)])
     series, derived, _ = _main_series(superposition(mode_set, config.grid, units, _KG_PLUS),
                                       config)
     results["realized_lattice"] = {
-        "k1": ks[0], "k2": ks[1],
-        "omega1": omega(_KG_PLUS, ks[0], units), "omega2": omega(_KG_PLUS, ks[1], units),
+        "k1": k1, "k2": k2,
+        "omega1": omega(_KG_PLUS, k1, units), "omega2": omega(_KG_PLUS, k2, units),
     }
     results.update(_grid_scan(mode_set, config)[0])
     return series, derived, results
@@ -708,8 +720,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute one scenario and write its outputs; returns what was written."""
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    derived: dict[str, Any] = {"backend": _kernels.backend_name(),
-                               "dt_continuity": config.dt_continuity}
+    derived: dict[str, Any] = {"dt_continuity": config.dt_continuity}
     series, scenario_derived, results = SCENARIOS[config.scenario].run(config)
     derived.update(scenario_derived)
     files: list[Path] = []

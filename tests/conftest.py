@@ -1,6 +1,19 @@
+import warnings
+
 import pytest
 
 from kg_lab import UnitSystem, make_grid
+
+# When a property test fails, hypothesis imports its patch writer, whose
+# libcst import can raise a DeprecationWarning. Under filterwarnings = error
+# (pyproject.toml) that aborts the session with an INTERNALERROR instead of
+# reporting the failure, so the writer is imported here, up front.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis skips the patch and reports plainly
+        pass
 
 
 @pytest.fixture

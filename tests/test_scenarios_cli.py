@@ -148,7 +148,8 @@ def test_run_writes_expected_files(tmp_path):
     assert meta["scenario"] == "gamma-density"
     assert meta["config"]["grid"]["n"] == 512
     assert meta["config"]["output"] == str(tmp_path)  # overrides are echoed
-    assert meta["derived"]["backend"] in ("numba", "numpy")
+    assert set(meta["derived"]) == {"dt_continuity", "gamma_bar", "gamma_spread",
+                                    "gamma_spread_flag"}
     assert meta["results"]["density_vs_gamma"][0]["max_rel_deviation"] < 1e-2
 
 
@@ -246,6 +247,26 @@ def test_validate_rejects_packet_that_fails_nyquist_check(tmp_path, capsys):
     cfg_path.write_text(text)
     assert main(["validate", str(cfg_path)]) == 3
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("two_mode_config", [
+    {"units": {"c": 1e-160, "m": 1e160}},  # (omega/c)**2 overflows
+    {"state": {"two_mode": {"omega1": 1e300}}},  # (omega/c)**2 overflows
+    {"state": {"two_mode": {"omega1": 1.0, "omega2": 1.00001}}},  # one lattice mode
+    {"state": {"two_mode": {"omega2": 1e6}}},  # k far beyond the Nyquist wavenumber
+])
+def test_validate_and_run_reject_unresolvable_two_mode(tmp_path, capsys, two_mode_config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "two-mode", **two_mode_config}))
+    for argv in (["validate", str(cfg_path)],
+                 ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BandwidthError"
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 # One catalog run evolves each (state, t) sample once: the sample time and
