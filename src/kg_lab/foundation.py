@@ -186,9 +186,9 @@ def nyquist_fraction(grid: Grid1D, coefficients: np.ndarray) -> float:
 
 
 def check_bandwidth(grid: Grid1D, coefficients: np.ndarray) -> None:
-    """Raise BandwidthError when the Nyquist mode carries real amplitude."""
+    """Raise BandwidthError when the Nyquist mode carries real amplitude (or NaN)."""
     frac = nyquist_fraction(grid, coefficients)
-    if frac > NYQUIST_TOLERANCE:
+    if not frac <= NYQUIST_TOLERANCE:
         raise BandwidthError(
             f"Nyquist mode carries {frac:.3e} of the spectral norm "
             f"(limit {NYQUIST_TOLERANCE:.0e}); the state is not band-limited on this grid"

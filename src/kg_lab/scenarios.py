@@ -193,13 +193,32 @@ def _two_mode_k(grid: Grid1D, units: UnitSystem, w: float, path: str) -> float:
     return _lattice_k(grid, int(round(position)), path)
 
 
+def _max_omega(kind: DispersionKind, grid: Grid1D, units: UnitSystem, reach: float,
+               path: str) -> float:
+    """The largest |omega| on the lattice, the Nyquist wavenumber's.
+
+    ConfigError unless it and the phase it accrues over a time reach are
+    finite: exp(-i omega t) of an overflowed product is NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = abs(omega(kind, float(grid.wavenumbers[grid.nyquist_index]), units))
+    if not math.isfinite(w):
+        raise ConfigError(f"grid: the {kind.value} frequency at the Nyquist wavenumber is {w!r} "
+                          f"for c={units.c!r}; it must be finite")
+    if not math.isfinite(w * reach):
+        raise ConfigError(f"{path}: the phase {w!r} * {reach!r} of the largest lattice "
+                          "frequency overflows")
+    return w
+
+
 def validate_config(text: str, *, output_override: Optional[str] = None,
                     format_override: Optional[str] = None) -> ScenarioConfig:
     """Parse and validate a JSON scenario config into a ScenarioConfig.
 
     Schema violations raise ConfigError (with line/column for parse errors
-    and dotted paths for field errors); support and bandwidth violations
-    raise BandwidthError.
+    and dotted paths for field errors), as do frequencies or phases the run
+    would overflow and a dt_continuity too small to resolve; support and
+    bandwidth violations raise BandwidthError.
     """
     try:
         raw = json.loads(text)
@@ -309,17 +328,35 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
     else:  # pragma: no cover - catalog defaults always carry a state block
         raise ConfigError("state: missing state specification")
 
-    if "strip_time" in resolved:
-        kwargs["strip_time"] = float(_require_number(resolved["strip_time"], "strip_time"))
+    systems = [units]
     if "c_factor" in resolved:
         factor = float(_require_number(resolved["c_factor"], "c_factor"))
         if factor <= 1.0:
             raise ConfigError(f"c_factor: must exceed 1, got {factor}")
         try:  # the unit system the run builds with c raised by the factor
-            UnitSystem(hbar=units.hbar, c=units.c * factor, m=units.m)
+            systems.append(UnitSystem(hbar=units.hbar, c=units.c * factor, m=units.m))
         except ValueError as exc:
             raise ConfigError(f"c_factor: {exc}") from exc
         kwargs["c_factor"] = factor
+
+    # Every series is evolved to t and t -/+ dt (the negative branch has the
+    # same |omega|); nonrel-limit also evolves both its branches, in both unit
+    # systems, to strip_time.
+    w_max = _max_omega(DispersionKind.KLEIN_GORDON_POSITIVE, grid, units,
+                       max(abs(t) for t in times) + dt, "times")
+    for i, t in enumerate(times):
+        if t - dt == t or t + dt == t:
+            raise ConfigError(f"dt_continuity: {dt!r} is lost in rounding beside "
+                              f"times[{i}] = {t!r}, so t -/+ dt equals t")
+    if 1.0 + dt * w_max == 1.0:
+        raise ConfigError(f"dt_continuity: every phase step {dt!r} * omega is below rounding "
+                          f"(largest lattice frequency {w_max!r}), so t -/+ dt equals t")
+    if "strip_time" in resolved:
+        strip = float(_require_number(resolved["strip_time"], "strip_time"))
+        for system in systems:
+            for kind in (DispersionKind.KLEIN_GORDON_POSITIVE, DispersionKind.SCHRODINGER):
+                _max_omega(kind, grid, system, abs(strip), "strip_time")
+        kwargs["strip_time"] = strip
 
     return ScenarioConfig(
         scenario=name, resolved=resolved, grid=grid, units=units, times=times,

@@ -1,15 +1,17 @@
 """State construction: Gaussian packets, lattice-mode superpositions.
 
 A SpectralState is one normalized wave function tied to a grid, a unit
-system, and a dispersion branch. Values and coefficients are stored side
-by side and must stay transform-consistent; construction enforces unit
-norm (sum |psi|^2 dx = 1, equivalently L sum |a|^2 = 1) and an empty
-Nyquist mode. States are immutable; evolution returns new ones.
+system, and a dispersion branch. Its spectral coefficients are the state:
+evolution is a phase on them. The sampled values psi(x) are derived from
+them on first read. Construction checks the shape, unit norm by Parseval
+(L sum |a|^2 = 1, equivalently sum |psi|^2 dx = 1) and an empty Nyquist
+mode. States are immutable; evolution returns new ones.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -19,46 +21,43 @@ from .errors import BandwidthError, KindError
 from .foundation import (
     Grid1D,
     UnitSystem,
+    _readonly,
     check_bandwidth,
     forward_transform,
     inverse_transform,
+    spectral_norm_sq,
     state_norm,
 )
 
-_CONSISTENCY_TOL = 1e-10
 _NORM_TOL = 1e-10
 _UNITARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Normalized wave function with paired spatial and spectral views."""
+    """Normalized wave function held as its spectral coefficients."""
 
     grid: Grid1D
     units: UnitSystem
     kind: DispersionKind
-    values: np.ndarray
     coefficients: np.ndarray
     time: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
         coefficients = np.asarray(self.coefficients, dtype=np.complex128)
-        if values.shape != (self.grid.n,) or coefficients.shape != (self.grid.n,):
-            raise ValueError("values and coefficients must match the grid size")
-        residual = np.linalg.norm(forward_transform(self.grid, values) - coefficients)
-        scale = np.linalg.norm(coefficients)
-        if scale == 0.0 or residual > _CONSISTENCY_TOL * scale:
-            raise ValueError("values and coefficients are not transform-consistent")
-        norm = state_norm(self.grid, values)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if coefficients.shape != (self.grid.n,):
+            raise ValueError("coefficients must match the grid size")
+        norm = spectral_norm_sq(self.grid, coefficients)
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm must be 1, got {norm}")
         check_bandwidth(self.grid, coefficients)
-        values.flags.writeable = False
-        coefficients.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "coefficients", _readonly(coefficients))
         object.__setattr__(self, "time", float(self.time))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The sampled wave function psi(x), read-only."""
+        return _readonly(inverse_transform(self.grid, self.coefficients))
 
     @property
     def density_nonrel(self) -> np.ndarray:
@@ -68,13 +67,9 @@ class SpectralState:
 
 def from_coefficients(grid: Grid1D, units: UnitSystem, kind: DispersionKind,
                       coefficients: np.ndarray, time: float = 0.0) -> SpectralState:
-    """Build a state from spectral coefficients (values derived)."""
-    coefficients = np.asarray(coefficients, dtype=np.complex128)
-    return SpectralState(
-        grid=grid, units=units, kind=kind,
-        values=inverse_transform(grid, coefficients),
-        coefficients=coefficients, time=time,
-    )
+    """Build a state from spectral coefficients."""
+    return SpectralState(grid=grid, units=units, kind=kind,
+                         coefficients=coefficients, time=time)
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,7 @@ def gaussian_packet(spec: PacketSpec, grid: Grid1D, units: UnitSystem,
         * np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
     values = envelope * np.exp(1j * spec.k0 * x)
     values = values / math.sqrt(state_norm(grid, values))
-    return SpectralState(
-        grid=grid, units=units, kind=kind,
-        values=values, coefficients=forward_transform(grid, values), time=0.0,
-    )
+    return from_coefficients(grid, units, kind, forward_transform(grid, values))
 
 
 @dataclass(frozen=True)
@@ -196,9 +188,9 @@ def rest_phase_strip(state: SpectralState) -> SpectralState:
     if state.kind is not DispersionKind.KLEIN_GORDON_POSITIVE:
         raise KindError("rest-phase stripping applies to positive-branch states only")
     phase = np.exp(1j * state.units.rest_omega * state.time)
-    return SpectralState(
-        grid=state.grid, units=state.units, kind=state.kind,
-        values=state.values * phase,
-        coefficients=state.coefficients * phase,
-        time=state.time,
-    )
+    stripped = from_coefficients(state.grid, state.units, state.kind,
+                                 state.coefficients * phase, time=state.time)
+    # psi * phase sample by sample, not the inverse transform of the phased
+    # coefficients, which differs from it by rounding.
+    object.__setattr__(stripped, "values", _readonly(state.values * phase))
+    return stripped

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,22 +259,43 @@ def test_validate_rejects_packet_that_fails_nyquist_check(tmp_path, capsys):
     {"state": {"two_mode": {"omega2": 1e6}}},  # k far beyond the Nyquist wavenumber
 ])
 def test_validate_and_run_reject_unresolvable_two_mode(tmp_path, capsys, two_mode_config):
+    _assert_validate_and_run_fail(tmp_path, capsys, {"scenario": "two-mode", **two_mode_config},
+                                  3, "BandwidthError")
+
+
+@pytest.mark.parametrize("config", [
+    # (c k)**2 overflows at the Nyquist wavenumber of a tiny box
+    {"scenario": "gamma-density", "grid": {"n": 8192, "length": 1e-150},
+     "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 1e-152}}},
+    {"scenario": "packet-continuity", "times": [1e307]},  # omega * t overflows
+    {"scenario": "nonrel-limit", "strip_time": 1e308},  # omega * strip_time overflows
+    # every phase step dt * omega is below rounding
+    {"scenario": "packet-continuity", "dt_continuity": 1e-300, "times": [0.0]},
+    {"scenario": "packet-continuity", "times": [1e300]},  # t + dt == t
+])
+def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, capsys, config):
+    _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
+
+
+def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"scenario": "two-mode", **two_mode_config}))
+    cfg_path.write_text(json.dumps(config))
     for argv in (["validate", str(cfg_path)],
                  ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]):
-        assert main(argv) == 3
+        assert main(argv) == code
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "BandwidthError"
+        assert json.loads(lines[0])["error"] == error
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
 # One catalog run evolves each (state, t) sample once: the sample time and
 # t -/+ dt_continuity per sample time and series, plus nonrel-limit's four
-# strip-time evolves.
+# strip-time evolves. Transforms: one forward per packet built, one inverse
+# per state whose values are read, two per evolve for the derivatives, two
+# per continuity residual.
 EVOLVE_CALLS = {
     "packet-continuity": 18,
     "gamma-density": 3,
@@ -281,21 +305,42 @@ EVOLVE_CALLS = {
     "superposition-scan": 9,
     "nonrel-limit": 7,
 }
+TRANSFORM_CALLS = {
+    "packet-continuity": 91,
+    "gamma-density": 12,
+    "amended": 12,
+    "branch-demo": 22,
+    "two-mode": 11,
+    "superposition-scan": 33,
+    "nonrel-limit": 28,
+}
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_each_sample_is_evolved_once(tmp_path, monkeypatch, name):
-    calls = []
+    calls, transforms = [], []
     evolve = kg_lab.scenarios.evolve
 
     def counting_evolve(state, t):
         calls.append(t)
         return evolve(state, t)
 
+    def counting(transform):
+        def wrapped(*args):
+            transforms.append(transform.__name__)
+            return transform(*args)
+        return wrapped
+
     monkeypatch.setattr(kg_lab.scenarios, "evolve", counting_evolve)
-    run_scenario(validate_config(json.dumps(default_config(name)),
-                                 output_override=str(tmp_path)))
+    for module in (kg_lab.foundation, kg_lab.states, kg_lab.propagation):
+        for transform in ("forward_transform", "inverse_transform"):
+            if hasattr(module, transform):
+                monkeypatch.setattr(module, transform, counting(getattr(module, transform)))
+    config = validate_config(json.dumps(default_config(name)), output_override=str(tmp_path))
+    transforms.clear()  # validate builds a packet too; count the run alone
+    run_scenario(config)
     assert len(calls) == EVOLVE_CALLS[name]
+    assert len(transforms) == TRANSFORM_CALLS[name]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -329,9 +374,15 @@ def test_cli_format_override(tmp_path, capsys):
     assert not (out_dir / "gamma-density_fields.csv").exists()
 
 
-@pytest.mark.skipif(shutil.which("kg-lab") is None, reason="console script not on PATH")
 def test_console_script_smoke():
-    proc = subprocess.run(["kg-lab", "scenarios"], capture_output=True, text=True)
+    # The installed console script when it is on PATH, else the same entry
+    # point through the interpreter, importing the kg_lab these tests import.
+    if shutil.which("kg-lab"):
+        argv, env = ["kg-lab"], None
+    else:
+        argv = [sys.executable, "-m", "kg_lab.cli"]
+        env = {**os.environ, "PYTHONPATH": str(Path(kg_lab.__file__).parents[1])}
+    proc = subprocess.run(argv + ["scenarios"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "packet-continuity" in proc.stdout
 

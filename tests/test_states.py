@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kg_lab import (
     BandwidthError,
     DispersionKind,
     KindError,
     ModeSet,
-    SpectralState,
+    UnitSystem,
     evolve,
     from_coefficients,
     gaussian_packet,
@@ -18,7 +20,7 @@ from kg_lab import (
     superposition,
     unphysical_negative_branch,
 )
-from kg_lab.foundation import forward_transform, state_norm
+from kg_lab.foundation import check_bandwidth, forward_transform, state_norm
 from kg_lab.states import PacketSpec
 
 KG = DispersionKind.KLEIN_GORDON_POSITIVE
@@ -101,16 +103,41 @@ def test_state_rejects_unnormalized(natural):
         from_coefficients(grid, natural, KG, coeffs)
 
 
-def test_state_rejects_inconsistent_pair(natural):
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_rejects_non_finite_coefficients(natural, bad):
+    # NaN compares False against every tolerance; the checks must still fail.
     grid = make_grid(64, 20.0)
     coeffs = np.zeros(64, dtype=complex)
     coeffs[3] = 1.0 / np.sqrt(20.0)
-    good = from_coefficients(grid, natural, KG, coeffs)
-    with pytest.raises(ValueError):
-        SpectralState(
-            grid=grid, units=natural, kind=KG,
-            values=np.roll(good.values, 7), coefficients=coeffs, time=0.0,
-        )
+    coeffs[5] = bad
+    with pytest.raises(ValueError, match="norm"):
+        from_coefficients(grid, natural, KG, coeffs)
+    coeffs[5] = 0.0
+    coeffs[32] = np.nan  # NaN in the Nyquist mode itself
+    with pytest.raises(BandwidthError):
+        check_bandwidth(grid, coeffs)
+
+
+@st.composite
+def band_limited_coefficients(draw):
+    n = draw(st.sampled_from([8, 16, 64, 256]))
+    length = draw(st.floats(0.5, 1e3))
+    parts = hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
+    coeffs = draw(parts) + 1j * draw(parts)
+    coeffs[n // 2] = 0.0  # the Nyquist mode stays empty
+    total = np.sqrt(length * np.sum(np.abs(coeffs) ** 2))
+    assume(total > 1e-100)
+    return make_grid(n, length), coeffs / total
+
+
+@given(band_limited_coefficients())
+def test_values_transform_back_to_coefficients(problem):
+    grid, coeffs = problem
+    state = from_coefficients(grid, UnitSystem.natural(), KG, coeffs)
+    residual = np.linalg.norm(forward_transform(grid, state.values) - state.coefficients)
+    assert residual <= 1e-12 * np.linalg.norm(state.coefficients)
+    assert state.values is state.values
+    assert not state.values.flags.writeable
 
 
 def test_state_rejects_nyquist_weight(natural):
