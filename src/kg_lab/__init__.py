@@ -21,11 +21,9 @@ from .dispersion import (
     DEFAULT_GAMMA_SPREAD_TOL,
     DispersionKind,
     GammaStats,
-    ModeFrequency,
     gamma_of_omega,
     gamma_of_state,
     group_velocity,
-    mode_frequency,
     omega,
     unphysical_negative_branch,
 )
@@ -44,7 +42,6 @@ from .observables import (
     Moments,
     SuperpositionDensity,
     TwoModeSpec,
-    amended_fields,
     compute_fields,
     continuity_residual,
     current_std,
@@ -61,16 +58,15 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid1D", "UnitSystem", "forward_transform", "inverse_transform", "make_grid",
     "spectral_derivative", "state_norm", "spectral_norm_sq", "nyquist_fraction",
-    "DEFAULT_GAMMA_SPREAD_TOL", "DispersionKind", "GammaStats", "ModeFrequency",
-    "gamma_of_omega", "gamma_of_state", "group_velocity", "mode_frequency", "omega",
+    "DEFAULT_GAMMA_SPREAD_TOL", "DispersionKind", "GammaStats",
+    "gamma_of_omega", "gamma_of_state", "group_velocity", "omega",
     "unphysical_negative_branch",
     "ModeSet", "PacketSpec", "SpectralState", "from_coefficients", "gaussian_packet",
     "rest_phase_strip", "superposition",
     "EvolutionResult", "evolve", "kg_residual",
     "DensityCurrentFields", "Moments", "SuperpositionDensity", "TwoModeSpec",
-    "amended_fields", "compute_fields", "continuity_residual", "current_std",
-    "density_kg", "moments", "superposition_density", "two_mode_density_of_phase",
-    "two_mode_min_density",
+    "compute_fields", "continuity_residual", "current_std", "density_kg", "moments",
+    "superposition_density", "two_mode_density_of_phase", "two_mode_min_density",
     "BandwidthError", "BranchError", "ConfigError", "KindError",
     "__version__",
 ]

@@ -1,8 +1,9 @@
 """Command line front end: kg-lab run | scenarios | validate.
 
-Exit codes: 0 success, 2 invalid configuration, 3 bandwidth or support
-violation, 4 I/O failure. Failures emit a one-line JSON error record on
-stderr so callers can parse the reason without scraping text.
+Exit codes: 0 success, 2 invalid configuration (including magnitudes that
+overflow during the run), 3 bandwidth or support violation, 4 I/O failure.
+Failures emit a one-line JSON error record on stderr so callers can parse
+the reason without scraping text.
 """
 from __future__ import annotations
 
@@ -96,7 +97,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # A FloatingPointError means the config's magnitudes overflow the physics.
+    except (ConfigError, FloatingPointError) as exc:
         _error_record(exc)
         return EXIT_CONFIG
     except BandwidthError as exc:

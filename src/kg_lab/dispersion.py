@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
@@ -68,23 +67,6 @@ def group_velocity(kind: DispersionKind, k: ArrayOrFloat, units: UnitSystem) -> 
     else:
         out = units.c**2 * karr / omega(DispersionKind.KLEIN_GORDON_POSITIVE, karr, units)
     return float(out) if np.isscalar(k) else out
-
-
-@dataclass(frozen=True)
-class ModeFrequency:
-    """A (k, omega) pair consistent with one dispersion branch."""
-
-    kind: DispersionKind
-    k: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and math.isfinite(self.omega)):
-            raise ValueError("k and omega must be finite")
-
-
-def mode_frequency(kind: DispersionKind, k: float, units: UnitSystem) -> ModeFrequency:
-    return ModeFrequency(kind=kind, k=float(k), omega=float(omega(kind, float(k), units)))
 
 
 def gamma_of_omega(omega_value: ArrayOrFloat, units: UnitSystem) -> ArrayOrFloat:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,24 +135,28 @@ def _check_length(grid: Grid1D, arr: np.ndarray, name: str) -> np.ndarray:
     return arr.astype(np.complex128, copy=False)
 
 
+@lru_cache(maxsize=None)
 def _twist(n: int) -> np.ndarray:
     # exp(-i k_j x_0) with x_0 = -L/2 is exactly (-1)^j, alternating in
     # array order because index parity matches signed-j parity for even n.
     t = np.ones(n)
     t[1::2] = -1.0
-    return t
+    return _readonly(t)
 
+
+# norm="forward" puts the whole 1/n on the forward transform and none on
+# the inverse. make_grid admits only powers of two, so the scaling is exact.
 
 def forward_transform(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     """Spatial samples -> centered-grid plane-wave coefficients (1/n norm)."""
     values = _check_length(grid, values, "values")
-    return _twist(grid.n) * np.fft.fft(values) / grid.n
+    return _twist(grid.n) * np.fft.fft(values, norm="forward")
 
 
 def inverse_transform(grid: Grid1D, coefficients: np.ndarray) -> np.ndarray:
     """Centered-grid plane-wave coefficients -> spatial samples."""
     coefficients = _check_length(grid, coefficients, "coefficients")
-    return np.fft.ifft(_twist(grid.n) * coefficients) * grid.n
+    return np.fft.ifft(_twist(grid.n) * coefficients, norm="forward")
 
 
 def spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:
@@ -173,7 +178,8 @@ def state_norm(grid: Grid1D, values: np.ndarray) -> float:
 
 def spectral_norm_sq(grid: Grid1D, coefficients: np.ndarray) -> float:
     """Parseval partner of state_norm under the 1/n convention: L sum |a|^2."""
-    return float(grid.length * np.sum(np.abs(np.asarray(coefficients)) ** 2).real)
+    coefficients = np.asarray(coefficients)
+    return float(grid.length * np.vdot(coefficients, coefficients).real)
 
 
 def nyquist_fraction(grid: Grid1D, coefficients: np.ndarray) -> float:

@@ -10,11 +10,16 @@ positive definite for superpositions. The amended pair divides both the
 density and the standard current by the spectral-mean Lorentz factor,
 restoring psi* psi for narrow spectra while keeping the continuity
 equation intact (the rescaling is a constant).
+
+compute_fields computes nothing itself: each field of the returned
+DensityCurrentFields is computed on first read, so a density-only
+snapshot pays for psi and dpsi/dt and nothing else.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,10 +28,11 @@ from . import _kernels
 from .dispersion import (
     DEFAULT_GAMMA_SPREAD_TOL,
     DispersionKind,
+    GammaStats,
     gamma_of_state,
     omega,
 )
-from .foundation import Grid1D, UnitSystem, spectral_derivative
+from .foundation import Grid1D, UnitSystem, _readonly, spectral_derivative
 from .propagation import EvolutionResult
 from .states import ModeSet
 
@@ -56,59 +62,68 @@ def current_std(psi: np.ndarray, dpsi_dx: np.ndarray, units: UnitSystem) -> np.n
     return _real_part(z, "current")
 
 
-def amended_fields(psi: np.ndarray, dpsi_dt: np.ndarray, dpsi_dx: np.ndarray,
-                   gamma_bar: float, units: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Density and current rescaled by 1/gamma_bar (effective mass gamma*m)."""
-    if not (math.isfinite(gamma_bar) and gamma_bar >= 1.0 - 1e-12):
-        raise ValueError(f"gamma_bar must be a Lorentz factor >= 1, got {gamma_bar}")
-    rho = density_kg(psi, dpsi_dt, units) / gamma_bar
-    current = current_std(psi, dpsi_dx, units) / gamma_bar
-    return rho, current
-
-
 @dataclass(frozen=True, eq=False)
 class DensityCurrentFields:
-    """Every density/current variant for one state at one time.
+    """Every density/current variant for one evolved state, each on first read.
 
-    For states without a Lorentz factor (Schrodinger, negative branch) the
-    amended arrays and gamma statistics are NaN and the flag is set: the
-    amended construction simply does not apply there.
+    Each field is computed when it is first read and then kept, read-only;
+    a field nobody reads costs nothing. The amended pair is the conserved
+    density and the standard current divided by gamma_bar. For states
+    without a Lorentz factor (Schrodinger, negative branch) the gamma
+    statistics, and with them the amended arrays, are NaN and the flag is
+    set: the amended construction simply does not apply there.
     """
 
-    rho_nonrel: np.ndarray
-    rho_kg: np.ndarray
-    rho_amended: np.ndarray
-    j_std: np.ndarray
-    j_amended: np.ndarray
-    gamma_bar: float
-    gamma_spread: float
-    gamma_spread_flag: bool
+    result: EvolutionResult
+    spread_tol: float
+
+    @cached_property
+    def rho_nonrel(self) -> np.ndarray:
+        return _readonly(self.result.state.density_nonrel)
+
+    @cached_property
+    def rho_kg(self) -> np.ndarray:
+        state = self.result.state
+        return _readonly(density_kg(state.values, self.result.dpsi_dt, state.units))
+
+    @cached_property
+    def j_std(self) -> np.ndarray:
+        state = self.result.state
+        return _readonly(current_std(state.values, self.result.dpsi_dx, state.units))
+
+    @cached_property
+    def rho_amended(self) -> np.ndarray:
+        return _readonly(self.rho_kg / self.gamma_bar)
+
+    @cached_property
+    def j_amended(self) -> np.ndarray:
+        return _readonly(self.j_std / self.gamma_bar)
+
+    @cached_property
+    def _gamma_stats(self) -> GammaStats:
+        state = self.result.state
+        if state.kind is DispersionKind.KLEIN_GORDON_POSITIVE:
+            return gamma_of_state(state)
+        return GammaStats(gamma_bar=math.nan, gamma_spread=math.nan)
+
+    @property
+    def gamma_bar(self) -> float:
+        return self._gamma_stats.gamma_bar
+
+    @property
+    def gamma_spread(self) -> float:
+        return self._gamma_stats.gamma_spread
+
+    @property
+    def gamma_spread_flag(self) -> bool:
+        # NaN statistics fail the comparison, so they set the flag.
+        return not self._gamma_stats.relative_spread <= self.spread_tol
 
 
 def compute_fields(result: EvolutionResult,
                    spread_tol: float = DEFAULT_GAMMA_SPREAD_TOL) -> DensityCurrentFields:
-    """Assemble all density/current fields for an evolved state."""
-    state = result.state
-    rho_nonrel = state.density_nonrel
-    rho_kg = density_kg(state.values, result.dpsi_dt, state.units)
-    j_std = current_std(state.values, result.dpsi_dx, state.units)
-    if state.kind is DispersionKind.KLEIN_GORDON_POSITIVE:
-        stats = gamma_of_state(state)
-        rho_amended, j_amended = amended_fields(
-            state.values, result.dpsi_dt, result.dpsi_dx, stats.gamma_bar, state.units
-        )
-        gamma_bar, gamma_spread = stats.gamma_bar, stats.gamma_spread
-        flag = stats.relative_spread > spread_tol
-    else:
-        rho_amended = np.full(state.grid.n, math.nan)
-        j_amended = np.full(state.grid.n, math.nan)
-        gamma_bar = gamma_spread = math.nan
-        flag = True
-    return DensityCurrentFields(
-        rho_nonrel=rho_nonrel, rho_kg=rho_kg, rho_amended=rho_amended,
-        j_std=j_std, j_amended=j_amended,
-        gamma_bar=gamma_bar, gamma_spread=gamma_spread, gamma_spread_flag=flag,
-    )
+    """The density/current fields of an evolved state, each computed on first read."""
+    return DensityCurrentFields(result=result, spread_tol=spread_tol)
 
 
 def continuity_residual(rho_before: np.ndarray, rho_after: np.ndarray,

@@ -3,7 +3,8 @@
 Free evolution is a pure phase in spectral space, a_j -> a_j e^{-i omega_j t},
 so there is no time-stepping error anywhere in this module: states at any
 time are exact up to rounding, and time derivatives come from the same
-spectral data via -i omega_j.
+spectral data via -i omega_j. An evolve transforms nothing; each derivative
+costs one inverse transform when it is read.
 """
 from __future__ import annotations
 
@@ -14,25 +15,31 @@ import numpy as np
 from .dispersion import DispersionKind, omega
 from .errors import KindError
 from .states import SpectralState, from_coefficients
-from .foundation import UnitSystem, inverse_transform
+from .foundation import UnitSystem, _readonly, inverse_transform
 
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """Evolved state plus its exact spectral time and space derivatives."""
+    """Evolved state, with its exact spectral derivatives computed on read.
+
+    Each read of dpsi_dt or dpsi_dx is one inverse transform; the arrays are
+    not kept, so a result held for later costs no more than its state.
+    """
 
     state: SpectralState
-    dpsi_dt: np.ndarray
-    dpsi_dx: np.ndarray
 
+    @property
+    def dpsi_dt(self) -> np.ndarray:
+        """The time derivative of psi(x), read-only."""
+        state = self.state
+        omegas = omega(state.kind, state.grid.wavenumbers, state.units)
+        return _readonly(inverse_transform(state.grid, -1j * omegas * state.coefficients))
 
-def _derivatives(state: SpectralState, omegas: np.ndarray) -> EvolutionResult:
-    grid = state.grid
-    dpsi_dt = inverse_transform(grid, -1j * omegas * state.coefficients)
-    dpsi_dx = inverse_transform(grid, 1j * grid.wavenumbers * state.coefficients)
-    dpsi_dt.flags.writeable = False
-    dpsi_dx.flags.writeable = False
-    return EvolutionResult(state=state, dpsi_dt=dpsi_dt, dpsi_dx=dpsi_dx)
+    @property
+    def dpsi_dx(self) -> np.ndarray:
+        """The space derivative of psi(x), read-only."""
+        grid = self.state.grid
+        return _readonly(inverse_transform(grid, 1j * grid.wavenumbers * self.state.coefficients))
 
 
 def evolve(state: SpectralState, t: float) -> EvolutionResult:
@@ -42,7 +49,7 @@ def evolve(state: SpectralState, t: float) -> EvolutionResult:
     new_state = from_coefficients(
         state.grid, state.units, state.kind, coefficients, time=state.time + float(t)
     )
-    return _derivatives(new_state, omegas)
+    return EvolutionResult(state=new_state)
 
 
 def _spectral_residual(coefficients: np.ndarray, omegas: np.ndarray,

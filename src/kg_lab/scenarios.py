@@ -754,12 +754,17 @@ def default_config(name: str) -> dict[str, Any]:
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    """Execute one scenario and write its outputs; returns what was written."""
+    """Execute one scenario and write its outputs; returns what was written.
+
+    The runner computes under numpy's raise mode, so an overflow or invalid
+    value raises FloatingPointError instead of writing NaN or inf. Nothing
+    is written, and no directory made, unless the runner returns.
+    """
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        series, scenario_derived, results = SCENARIOS[config.scenario].run(config)
+    derived: dict[str, Any] = {"dt_continuity": config.dt_continuity, **scenario_derived}
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    derived: dict[str, Any] = {"dt_continuity": config.dt_continuity}
-    series, scenario_derived, results = SCENARIOS[config.scenario].run(config)
-    derived.update(scenario_derived)
     files: list[Path] = []
     for label, ser in series.items():
         stem = config.scenario if label == "main" else f"{config.scenario}_{label}"

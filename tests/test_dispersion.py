@@ -17,7 +17,6 @@ from kg_lab import (
     superposition,
     unphysical_negative_branch,
 )
-from kg_lab.dispersion import mode_frequency
 from kg_lab.states import PacketSpec
 
 KG = DispersionKind.KLEIN_GORDON_POSITIVE
@@ -89,12 +88,6 @@ def test_gamma_monotone_in_wavenumber(natural):
     ks = np.linspace(0.0, 10.0, 64)
     g = gamma_of_omega(omega(KG, ks, natural), natural)
     assert np.all(np.diff(g) > 0)
-
-
-def test_mode_frequency_record(units_m4):
-    mode = mode_frequency(KG, 3.0, units_m4)
-    assert mode.k == 3.0
-    assert mode.omega == pytest.approx(5.0, abs=1e-12)
 
 
 def test_gamma_stats_two_modes():

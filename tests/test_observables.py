@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kg_lab import (
     BandwidthError,
@@ -11,7 +15,6 @@ from kg_lab import (
     continuity_residual,
     density_kg,
     current_std,
-    amended_fields,
     evolve,
     gamma_of_state,
     gaussian_packet,
@@ -24,6 +27,7 @@ from kg_lab import (
     two_mode_min_density,
     unphysical_negative_branch,
 )
+from kg_lab import observables
 from kg_lab.foundation import spectral_derivative
 from kg_lab.observables import _real_part
 from kg_lab.states import PacketSpec
@@ -129,12 +133,76 @@ def test_amended_packet_reduction(units_m4, grid400):
     assert err / np.linalg.norm(fields.rho_nonrel) <= 1e-3
 
 
-def test_amended_fields_rejects_bad_gamma(natural, grid_small):
-    state = gaussian_packet(PacketSpec(0.0, 1.0, 5.0), grid_small, natural, KG)
-    result = evolve(state, 0.0)
-    for bad in (0.5, float("nan"), -2.0):
-        with pytest.raises(ValueError):
-            amended_fields(state.values, result.dpsi_dt, result.dpsi_dx, bad, natural)
+FIELD_ATTRIBUTES = ("rho_nonrel", "rho_kg", "rho_amended", "j_std", "j_amended",
+                    "gamma_bar", "gamma_spread", "gamma_spread_flag")
+
+
+@given(
+    kind=st.sampled_from([KG, unphysical_negative_branch(), NR]),
+    # |x0| + 9 sigma < L/2: between 9 and the 6 sigma of the support rule,
+    # gaussian_packet builds states that fail their own Nyquist check.
+    x0=st.floats(-10.0, 10.0),
+    k0=st.floats(-3.0, 3.0),
+    sigma=st.floats(2.0, 4.0),
+    t=st.floats(0.0, 1e6),
+    order=st.permutations(FIELD_ATTRIBUTES),
+)
+def test_lazy_fields_equal_the_eager_formulas(kind, x0, k0, sigma, t, order):
+    # Whatever order the fields are read in, each is the formula applied to
+    # an independent evolve of the same state, bit for bit, read-only and
+    # computed once.
+    natural, grid = UnitSystem.natural(), make_grid(256, 100.0)
+    state = gaussian_packet(PacketSpec(x0, k0, sigma), grid, natural, kind)
+    fields = compute_fields(evolve(state, t), spread_tol=0.01)
+    reads = {name: getattr(fields, name) for name in order}
+
+    ref = evolve(state, t)
+    rho_kg = density_kg(ref.state.values, ref.dpsi_dt, natural)
+    j_std = current_std(ref.state.values, ref.dpsi_dx, natural)
+    if kind is KG:
+        stats = gamma_of_state(ref.state)
+        gamma = (stats.gamma_bar, stats.gamma_spread, stats.relative_spread > 0.01)
+        amended = (rho_kg / stats.gamma_bar, j_std / stats.gamma_bar)
+    else:
+        gamma = (np.nan, np.nan, True)
+        amended = (np.full(grid.n, np.nan), np.full(grid.n, np.nan))
+    expected = dict(zip(FIELD_ATTRIBUTES, (ref.state.density_nonrel, rho_kg, amended[0],
+                                           j_std, amended[1], *gamma)))
+    for name in FIELD_ATTRIBUTES:
+        assert np.array_equal(reads[name], expected[name], equal_nan=True), name
+        assert getattr(fields, name) is reads[name], name
+        if isinstance(reads[name], np.ndarray):
+            assert not reads[name].flags.writeable, name
+
+
+def _complex_arrays(n):
+    # Magnitudes over 280 decades; products stay finite for any units drawn.
+    return st.integers(-140, 140).flatmap(lambda e: hnp.arrays(
+        np.complex128, n,
+        elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    ).map(lambda a: a * 10.0 ** e))
+
+
+@given(
+    pair=st.integers(1, 64).flatmap(lambda n: st.tuples(_complex_arrays(n), _complex_arrays(n))),
+    hbar=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3), m=st.floats(1e-3, 1e3),
+)
+def test_bilinears_have_exactly_zero_imaginary_part(pair, hbar, c, m):
+    # conj(psi) d - psi conj(d) rounds to (0, 2y) with y one rounded value,
+    # and the prefactor is (0, p): the product's imaginary part is exactly
+    # zero, so _real_part drops nothing for density_kg and current_std.
+    psi, d = pair
+    units = UnitSystem(hbar=hbar, c=c, m=m)
+    seen = []
+    real_part = observables._real_part
+    with mock.patch.object(observables, "_real_part",
+                           lambda z, what: seen.append(z) or real_part(z, what)):
+        density_kg(psi, d, units)
+        current_std(psi, d, units)
+    assert len(seen) == 2
+    for z in seen:
+        assert np.all(np.isfinite(z.real))
+        assert np.all(z.imag == 0.0)
 
 
 def test_spread_flag_set_for_broad_spectrum(natural):

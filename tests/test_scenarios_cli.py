@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,26 @@ def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, capsys, co
     _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
 
 
+def test_run_exits_2_when_the_physics_overflows(tmp_path, capsys):
+    # Every lattice frequency and phase is finite, but in this tiny box the
+    # spectral derivative of the current overflows: the run must stop with
+    # one JSON line instead of writing a NaN continuity residual.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "gamma-density", "grid": {"n": 8192, "length": 1e-140},
+        "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 1e-142}}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FloatingPointError"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -294,8 +315,9 @@ def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
 # One catalog run evolves each (state, t) sample once: the sample time and
 # t -/+ dt_continuity per sample time and series, plus nonrel-limit's four
 # strip-time evolves. Transforms: one forward per packet built, one inverse
-# per state whose values are read, two per evolve for the derivatives, two
-# per continuity residual.
+# per state whose values are read, one inverse per derivative read (the
+# t -/+ dt snapshots read dpsi/dt for a conserved density and never dpsi/dx),
+# two per continuity residual.
 EVOLVE_CALLS = {
     "packet-continuity": 18,
     "gamma-density": 3,
@@ -306,13 +328,13 @@ EVOLVE_CALLS = {
     "nonrel-limit": 7,
 }
 TRANSFORM_CALLS = {
-    "packet-continuity": 91,
-    "gamma-density": 12,
-    "amended": 12,
-    "branch-demo": 22,
-    "two-mode": 11,
-    "superposition-scan": 33,
-    "nonrel-limit": 28,
+    "packet-continuity": 79,
+    "gamma-density": 10,
+    "amended": 10,
+    "branch-demo": 18,
+    "two-mode": 9,
+    "superposition-scan": 27,
+    "nonrel-limit": 18,
 }
 
 
