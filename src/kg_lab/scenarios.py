@@ -48,7 +48,10 @@ from .observables import (
     two_mode_min_density,
 )
 from .propagation import evolve
-from .states import ModeSet, PacketSpec, SpectralState, gaussian_packet, rest_phase_strip, superposition
+from .states import (ModeSet, PacketSpec, SpectralState, from_coefficients, gaussian_packet,
+                     rest_phase_strip, superposition)
+
+_KG_PLUS = DispersionKind.KLEIN_GORDON_POSITIVE
 
 FIELD_COLUMNS = ("t", "x", "re_psi", "im_psi", "rho_nonrel", "rho_kg",
                  "rho_amended", "j_std", "j_amended")
@@ -129,28 +132,11 @@ def _merge_strict(default: Any, user: Any, path: str) -> Any:
     return _require_number(user, path, integer=isinstance(default, int) and not isinstance(default, bool))
 
 
-def _validate_mode_entry(entry: Any, path: str) -> dict[str, Any]:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(entry) - _MODE_ENTRY_KEYS
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    if ("index" in entry) == ("k" in entry):
-        raise ConfigError(f"{path}: give exactly one of 'index' or 'k'")
-    out = {
-        "amplitude_re": float(_require_number(entry.get("amplitude_re", 0.0), f"{path}.amplitude_re")),
-        "amplitude_im": float(_require_number(entry.get("amplitude_im", 0.0), f"{path}.amplitude_im")),
-    }
-    if "index" in entry:
-        out["index"] = int(_require_number(entry["index"], f"{path}.index", integer=True))
-    else:
-        out["k"] = float(_require_number(entry["k"], f"{path}.k"))
-    return out
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully resolved, validated scenario run."""
+    """A fully resolved, validated scenario run, with the positive-branch
+    initial state it names and the spec that state was built from (modes
+    for every mode form, state.mode as a one-mode set)."""
 
     scenario: str
     resolved: dict[str, Any]
@@ -161,10 +147,10 @@ class ScenarioConfig:
     gamma_spread_tol: float
     fmt: str
     output: str
+    state: SpectralState
     packet: Optional[PacketSpec] = None
     modes: Optional[ModeSet] = None
-    mode_index: Optional[int] = None
-    two_mode: Optional[dict[str, float]] = None
+    two_mode: Optional[TwoModeSpec] = None
     strip_time: Optional[float] = None
     c_factor: Optional[float] = None
 
@@ -193,6 +179,28 @@ def _two_mode_k(grid: Grid1D, units: UnitSystem, w: float, path: str) -> float:
     return _lattice_k(grid, int(round(position)), path)
 
 
+def _mode_entry(entry: Any, path: str, keys: set[str],
+                grid: Grid1D) -> tuple[dict[str, Any], float]:
+    """Check one mode entry: the entry with its amplitudes defaulted, and the
+    lattice wavenumber 2 pi j / L that its index or its k names."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = set(entry) - keys
+    if unknown:
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
+    if ("index" in entry) == ("k" in entry):
+        raise ConfigError(f"{path}: give exactly one of 'index' or 'k'")
+    out = {name: float(_require_number(entry.get(name, 0.0), f"{path}.{name}"))
+           for name in ("amplitude_re", "amplitude_im") if name in keys}
+    if "index" in entry:
+        j = out["index"] = int(_require_number(entry["index"], f"{path}.index", integer=True))
+    else:
+        k = out["k"] = float(_require_number(entry["k"], f"{path}.k"))
+        position = grid.wavenumber_index(k)  # off-lattice -> BandwidthError
+        j = position if position < grid.n // 2 else position - grid.n
+    return out, _lattice_k(grid, j, path)
+
+
 def _max_omega(kind: DispersionKind, grid: Grid1D, units: UnitSystem, reach: float,
                path: str) -> float:
     """The largest |omega| on the lattice, the Nyquist wavenumber's.
@@ -211,10 +219,69 @@ def _max_omega(kind: DispersionKind, grid: Grid1D, units: UnitSystem, reach: flo
     return w
 
 
+def _initial_state(block: dict[str, Any], grid: Grid1D,
+                   units: UnitSystem) -> dict[str, Any]:
+    """The positive-branch initial state a state block names, and its spec.
+
+    state.modes entries are written back with their defaults filled in.
+    """
+    if "packet" in block:
+        p = block["packet"]
+        try:
+            packet = PacketSpec(x0=float(p["x0"]), k0=float(p["k0"]), sigma=float(p["sigma"]))
+        except ValueError as exc:
+            raise ConfigError(f"state.packet: {exc}") from exc
+        return {"state": gaussian_packet(packet, grid, units, _KG_PLUS), "packet": packet}
+    spec: dict[str, Any] = {}
+    if "modes" in block:
+        path = "state.modes"
+        entries = [_mode_entry(e, f"{path}[{i}]", _MODE_ENTRY_KEYS, grid)
+                   for i, e in enumerate(block["modes"])]
+        block["modes"] = [entry for entry, _ in entries]
+        pairs = [(complex(entry["amplitude_re"], entry["amplitude_im"]), k)
+                 for entry, k in entries]
+    elif "mode" in block:
+        path = "state.mode"
+        pairs = [(1.0, _mode_entry(block["mode"], path, {"index", "k"}, grid)[1])]
+    elif "two_mode" in block:
+        path, tm = "state.two_mode", block["two_mode"]
+        for key in ("a1_sq", "a2_sq", "omega1", "omega2"):
+            _require_number(tm.get(key), f"{path}.{key}")
+        if tm["a1_sq"] <= 0 or tm["a2_sq"] <= 0:
+            raise ConfigError(f"{path}: amplitude weights must be positive")
+        if abs(tm["a1_sq"] + tm["a2_sq"] - 1.0) > 1e-10:
+            raise ConfigError(
+                f"{path}: weights must satisfy a1_sq + a2_sq = 1 (unitarity), "
+                f"got {tm['a1_sq'] + tm['a2_sq']}"
+            )
+        cutoff = units.rest_omega * (1.0 - 1e-12)
+        if tm["omega1"] < cutoff or tm["omega2"] < cutoff:
+            raise ConfigError(f"{path}: frequencies must lie on or above the rest frequency")
+        k1, k2 = (_two_mode_k(grid, units, float(tm[w]), f"{path}.{w}")
+                  for w in ("omega1", "omega2"))
+        if k1 == k2:
+            raise BandwidthError(f"{path}: frequencies resolve to the same lattice mode")
+        a1, a2 = math.sqrt(tm["a1_sq"]), math.sqrt(tm["a2_sq"])
+        pairs = [(a1, k1), (a2, k2)]
+    else:  # pragma: no cover - catalog defaults always carry a state block
+        raise ConfigError("state: missing state specification")
+    # ModeSet rejects two entries on one lattice index, and sum |a|^2 off 1;
+    # TwoModeSpec and the state check that sum again.
+    try:
+        modes = ModeSet(pairs)
+        if "two_mode" in block:
+            spec["two_mode"] = TwoModeSpec(a1=a1, a2=a2, omega1=float(tm["omega1"]),
+                                           omega2=float(tm["omega2"]))
+        return {"state": superposition(modes, grid, units, _KG_PLUS), "modes": modes, **spec}
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def validate_config(text: str, *, output_override: Optional[str] = None,
                     format_override: Optional[str] = None) -> ScenarioConfig:
     """Parse and validate a JSON scenario config into a ScenarioConfig.
 
+    The initial state is built here, once, and every runner starts from it.
     Schema violations raise ConfigError (with line/column for parse errors
     and dotted paths for field errors), as do frequencies or phases the run
     would overflow and a dt_continuity too small to resolve; support and
@@ -261,72 +328,7 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
     if spread_tol <= 0:
         raise ConfigError(f"gamma_spread_tol: must be positive, got {spread_tol}")
 
-    kwargs: dict[str, Any] = {}
-    state = resolved["state"]
-    if "packet" in state:
-        p = state["packet"]
-        try:
-            packet = PacketSpec(x0=float(p["x0"]), k0=float(p["k0"]), sigma=float(p["sigma"]))
-        except ValueError as exc:
-            raise ConfigError(f"state.packet: {exc}") from exc
-        # Build the state run will build, so that validate raises the same
-        # support or Nyquist BandwidthError that run would.
-        gaussian_packet(packet, grid, units, DispersionKind.KLEIN_GORDON_POSITIVE)
-        kwargs["packet"] = packet
-    elif "modes" in state:
-        entries = [_validate_mode_entry(e, f"state.modes[{i}]") for i, e in enumerate(state["modes"])]
-        resolved["state"]["modes"] = entries
-        pairs = []
-        for i, entry in enumerate(entries):
-            amp = complex(entry["amplitude_re"], entry["amplitude_im"])
-            if "index" in entry:
-                k = _lattice_k(grid, entry["index"], f"state.modes[{i}]")
-            else:
-                k = entry["k"]
-                grid.wavenumber_index(k)  # off-lattice -> BandwidthError
-            pairs.append((amp, k))
-        try:
-            kwargs["modes"] = ModeSet(pairs)
-        except ValueError as exc:
-            raise ConfigError(f"state.modes: {exc}") from exc
-    elif "mode" in state:
-        entry = state["mode"]
-        if not isinstance(entry, dict):
-            raise ConfigError("state.mode: expected an object")
-        unknown = set(entry) - {"index", "k"}
-        if unknown:
-            raise ConfigError(f"state.mode.{sorted(unknown)[0]}: unknown key")
-        if ("index" in entry) == ("k" in entry):
-            raise ConfigError("state.mode: give exactly one of 'index' or 'k'")
-        if "index" in entry:
-            idx = int(_require_number(entry["index"], "state.mode.index", integer=True))
-            _lattice_k(grid, idx, "state.mode")
-        else:
-            k = float(_require_number(entry["k"], "state.mode.k"))
-            pos = grid.wavenumber_index(k)
-            idx = pos if pos < grid.n // 2 else pos - grid.n
-        kwargs["mode_index"] = idx
-    elif "two_mode" in state:
-        tm = state["two_mode"]
-        for key in ("a1_sq", "a2_sq", "omega1", "omega2"):
-            _require_number(tm.get(key), f"state.two_mode.{key}")
-        if tm["a1_sq"] <= 0 or tm["a2_sq"] <= 0:
-            raise ConfigError("state.two_mode: amplitude weights must be positive")
-        if abs(tm["a1_sq"] + tm["a2_sq"] - 1.0) > 1e-10:
-            raise ConfigError(
-                "state.two_mode: weights must satisfy a1_sq + a2_sq = 1 (unitarity), "
-                f"got {tm['a1_sq'] + tm['a2_sq']}"
-            )
-        cutoff = units.rest_omega * (1.0 - 1e-12)
-        if tm["omega1"] < cutoff or tm["omega2"] < cutoff:
-            raise ConfigError("state.two_mode: frequencies must lie on or above the rest frequency")
-        k1, k2 = (_two_mode_k(grid, units, float(tm[w]), f"state.two_mode.{w}")
-                  for w in ("omega1", "omega2"))
-        if k1 == k2:
-            raise BandwidthError("state.two_mode: frequencies resolve to the same lattice mode")
-        kwargs["two_mode"] = {**{k: float(v) for k, v in tm.items()}, "k1": k1, "k2": k2}
-    else:  # pragma: no cover - catalog defaults always carry a state block
-        raise ConfigError("state: missing state specification")
+    kwargs = _initial_state(resolved["state"], grid, units)
 
     systems = [units]
     if "c_factor" in resolved:
@@ -538,17 +540,10 @@ def _write_series(out: Path, stem: str, grid: Grid1D, series: ObservableSeries,
     return [fields_path, summary_path]
 
 
-_KG_PLUS = DispersionKind.KLEIN_GORDON_POSITIVE
-
 # What a runner returns: the series to write (keyed "main", or by branch
 # label, in file order), its entries of the run's "derived" block, and its
 # "results" block.
 _RunnerOutput = tuple[dict[str, ObservableSeries], dict[str, Any], dict[str, Any]]
-
-
-def _packet_state(config: ScenarioConfig, kind: DispersionKind,
-                  units: Optional[UnitSystem] = None) -> SpectralState:
-    return gaussian_packet(config.packet, config.grid, units or config.units, kind)
 
 
 def _main_series(state: SpectralState, config: ScenarioConfig
@@ -577,16 +572,15 @@ def _grid_scan(modes: ModeSet, config: ScenarioConfig
 
 
 def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
-    series, derived, samples = _main_series(_packet_state(config, _KG_PLUS), config)
+    series, derived, samples = _main_series(config.state, config)
     derived["group_velocity_carrier"] = group_velocity(_KG_PLUS, config.packet.k0, config.units)
     dt, grid = config.dt_continuity, config.grid
     rows = [{
         "t": s.t,
-        "residual_conserved": continuity_residual(
-            s.before.rho_kg, s.after.rho_kg, s.fields.j_std, dt, grid),
+        "residual_conserved": row["continuity_residual"],
         "residual_amended": continuity_residual(
             s.before.rho_amended, s.after.rho_amended, s.fields.j_amended, dt, grid),
-    } for s in samples]
+    } for s, row in zip(samples, series["main"].summary)]
     return series, derived, {
         "continuity": rows,
         "max_residual_conserved": max(r["residual_conserved"] for r in rows),
@@ -595,7 +589,7 @@ def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
 
 
 def _run_gamma_density(config: ScenarioConfig) -> _RunnerOutput:
-    series, derived, samples = _main_series(_packet_state(config, _KG_PLUS), config)
+    series, derived, samples = _main_series(config.state, config)
     deviations = []
     for s in samples:
         rho_nonrel = s.fields.rho_nonrel
@@ -606,7 +600,7 @@ def _run_gamma_density(config: ScenarioConfig) -> _RunnerOutput:
 
 
 def _run_amended(config: ScenarioConfig) -> _RunnerOutput:
-    series, derived, samples = _main_series(_packet_state(config, _KG_PLUS), config)
+    series, derived, samples = _main_series(config.state, config)
     vg = group_velocity(_KG_PLUS, config.packet.k0, config.units)
     derived["group_velocity_carrier"] = vg
     rows = []
@@ -625,11 +619,11 @@ def _run_amended(config: ScenarioConfig) -> _RunnerOutput:
 
 
 def _run_branch_demo(config: ScenarioConfig) -> _RunnerOutput:
-    k = _lattice_k(config.grid, config.mode_index, "state.mode")
-    mode = ModeSet([(1.0, k)])
+    (_, k), = config.modes.modes
+    negative = from_coefficients(config.grid, config.units, unphysical_negative_branch(),
+                                 config.state.coefficients)
     series, branches = {}, {}
-    for label, kind in (("positive", _KG_PLUS), ("negative", unphysical_negative_branch())):
-        state = superposition(mode, config.grid, config.units, kind)
+    for label, state in (("positive", config.state), ("negative", negative)):
         series[label], samples = _series_for(state, config)
         branches[label] = {"density_ratio_mean": [
             float(np.mean(s.fields.rho_kg / s.fields.rho_nonrel)) for s in samples]}
@@ -641,25 +635,20 @@ def _run_branch_demo(config: ScenarioConfig) -> _RunnerOutput:
 
 
 def _run_two_mode(config: ScenarioConfig) -> _RunnerOutput:
-    tm, units = config.two_mode, config.units
-    spec = TwoModeSpec(a1=math.sqrt(tm["a1_sq"]), a2=math.sqrt(tm["a2_sq"]),
-                       omega1=tm["omega1"], omega2=tm["omega2"])
-    results: dict[str, Any] = {"analytic_min": two_mode_min_density(spec, units)}
-    k1, k2 = tm["k1"], tm["k2"]
-    mode_set = ModeSet([(spec.a1, k1), (spec.a2, k2)])
-    series, derived, _ = _main_series(superposition(mode_set, config.grid, units, _KG_PLUS),
-                                      config)
+    units = config.units
+    results: dict[str, Any] = {"analytic_min": two_mode_min_density(config.two_mode, units)}
+    (_, k1), (_, k2) = config.modes.modes
+    series, derived, _ = _main_series(config.state, config)
     results["realized_lattice"] = {
         "k1": k1, "k2": k2,
         "omega1": omega(_KG_PLUS, k1, units), "omega2": omega(_KG_PLUS, k2, units),
     }
-    results.update(_grid_scan(mode_set, config)[0])
+    results.update(_grid_scan(config.modes, config)[0])
     return series, derived, results
 
 
 def _run_superposition_scan(config: ScenarioConfig) -> _RunnerOutput:
-    state = superposition(config.modes, config.grid, config.units, _KG_PLUS)
-    series, derived, samples = _main_series(state, config)
+    series, derived, samples = _main_series(config.state, config)
     results, densities = _grid_scan(config.modes, config)
     results["amplitude_vs_state_max_diff"] = max(
         float(np.max(np.abs(sd.rho - s.fields.rho_kg))) for sd, s in zip(densities, samples))
@@ -667,16 +656,18 @@ def _run_superposition_scan(config: ScenarioConfig) -> _RunnerOutput:
 
 
 def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
-    series, derived, _ = _main_series(_packet_state(config, _KG_PLUS), config)
+    series, derived, _ = _main_series(config.state, config)
+    grid, coefficients = config.grid, config.state.coefficients
     gaps = {}
     for label, factor in (("base", 1.0), ("doubled", config.c_factor)):
         units = UnitSystem(hbar=config.units.hbar, c=config.units.c * factor,
                            m=config.units.m)
-        kg_t = rest_phase_strip(evolve(_packet_state(config, _KG_PLUS, units),
-                                       config.strip_time).state)
-        sch_t = evolve(_packet_state(config, DispersionKind.SCHRODINGER, units),
-                       config.strip_time).state
-        gap = np.linalg.norm(kg_t.values - sch_t.values) * math.sqrt(config.grid.dx)
+        # A packet's coefficients depend on neither the units nor the kind.
+        kg_t, sch_t = (evolve(from_coefficients(grid, units, kind, coefficients),
+                              config.strip_time).state
+                       for kind in (_KG_PLUS, DispersionKind.SCHRODINGER))
+        kg_t = rest_phase_strip(kg_t)
+        gap = np.linalg.norm(kg_t.values - sch_t.values) * math.sqrt(grid.dx)
         gaps[label] = {"c": units.c, "l2_gap": float(gap)}
     return series, derived, {
         "gaps": gaps,

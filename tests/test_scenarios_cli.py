@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kg_lab import BandwidthError, ConfigError
 from kg_lab.cli import main
@@ -121,6 +125,25 @@ def test_mode_entry_validation():
     entry = cfg.resolved["state"]["modes"][0]
     assert entry["amplitude_im"] == 0.0 and entry["k"] == k
     assert len(cfg.modes.modes) == 1
+
+
+SELECTOR_BLOCKS = {
+    "branch-demo": lambda selector: {"mode": selector},
+    "superposition-scan": lambda selector: {"modes": [
+        {"amplitude_re": 0.6, "index": 100}, {"amplitude_im": 0.8, **selector}]},
+}
+
+
+@pytest.mark.parametrize("j", [-7, 1, 64])
+@pytest.mark.parametrize("name", list(SELECTOR_BLOCKS))
+def test_k_and_index_selectors_name_the_same_state(name, j):
+    # A k selector is the lattice wavenumber it rounds to, so a k off 2 pi j / L
+    # by rounding names the same modes and the same initial state as index j.
+    length = default_config(name)["grid"]["length"]
+    by_index, by_k = (validate_config(_config_text(name, state=SELECTOR_BLOCKS[name](selector)))
+                      for selector in ({"index": j}, {"k": 2.0 * math.pi * j / length + 1e-13}))
+    assert by_k.modes == by_index.modes
+    assert np.array_equal(by_k.state.coefficients, by_index.state.coefficients)
 
 
 def test_two_mode_validation():
@@ -278,6 +301,14 @@ def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, capsys, co
     _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
 
 
+def test_mode_entries_on_one_lattice_index_fail_validate_and_run_alike(tmp_path, capsys):
+    # The k entry rounds to index 5: the two entries name one lattice mode.
+    k = 2.0 * math.pi * 5 / 400.0 + 1e-13
+    config = {"scenario": "superposition-scan", "state": {"modes": [
+        {"amplitude_re": 0.6, "index": 5}, {"amplitude_re": 0.8, "k": k}]}}
+    _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
+
+
 def test_run_exits_2_when_the_physics_overflows(tmp_path, capsys):
     # Every lattice frequency and phase is finite, but in this tiny box the
     # spectral derivative of the current overflows: the run must stop with
@@ -312,12 +343,13 @@ def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
     assert not (tmp_path / "out").exists()
 
 
-# One catalog run evolves each (state, t) sample once: the sample time and
-# t -/+ dt_continuity per sample time and series, plus nonrel-limit's four
-# strip-time evolves. Transforms: one forward per packet built, one inverse
-# per state whose values are read, one inverse per derivative read (the
-# t -/+ dt snapshots read dpsi/dt for a conserved density and never dpsi/dx),
-# two per continuity residual.
+# One catalog run evolves each sample once: the initial state to each sample
+# time t and to t -/+ dt_continuity, per series, plus
+# nonrel-limit's four strip-time evolves. validate builds every initial state
+# and the runners re-tag its coefficients, so a run makes no forward
+# transform. Transforms: one inverse per state whose values are read, one
+# inverse per derivative read (the t -/+ dt snapshots read dpsi/dt for a
+# conserved density and never dpsi/dx), two per continuity residual.
 EVOLVE_CALLS = {
     "packet-continuity": 18,
     "gamma-density": 3,
@@ -328,13 +360,13 @@ EVOLVE_CALLS = {
     "nonrel-limit": 7,
 }
 TRANSFORM_CALLS = {
-    "packet-continuity": 79,
-    "gamma-density": 10,
-    "amended": 10,
+    "packet-continuity": 66,
+    "gamma-density": 9,
+    "amended": 9,
     "branch-demo": 18,
     "two-mode": 9,
     "superposition-scan": 27,
-    "nonrel-limit": 18,
+    "nonrel-limit": 13,
 }
 
 
@@ -359,7 +391,7 @@ def test_each_sample_is_evolved_once(tmp_path, monkeypatch, name):
             if hasattr(module, transform):
                 monkeypatch.setattr(module, transform, counting(getattr(module, transform)))
     config = validate_config(json.dumps(default_config(name)), output_override=str(tmp_path))
-    transforms.clear()  # validate builds a packet too; count the run alone
+    transforms.clear()  # validate builds the initial state; count the run alone
     run_scenario(config)
     assert len(calls) == EVOLVE_CALLS[name]
     assert len(transforms) == TRANSFORM_CALLS[name]
@@ -418,3 +450,75 @@ def test_summary_metadata_floats_are_full_precision(tmp_path):
     # 17 significant digits round-trip doubles exactly.
     assert f"{gamma:.17g}" in meta
     assert np.isfinite(gamma)
+
+
+# Small grids: (n, length), one of them with integer lattice wavenumbers.
+SMALL_GRIDS = [(8, 10.0), (16, 2.0 * math.pi * 4.0), (32, 50.0)]
+
+
+@st.composite
+def mode_selectors(draw, n, length):
+    """An index or k selector of lattice index j: mostly a few central j, so
+    that entries collide, else j at or beyond the lattice's ends; k on the
+    lattice, off it by rounding, or off it by a fraction of a step."""
+    half = n // 2
+    j = draw(st.one_of(st.integers(-1, 1), st.sampled_from([-half - 1, -half, half - 1, half])))
+    if draw(st.booleans()):
+        return {"index": j}
+    step = 2.0 * math.pi / length
+    return {"k": j * step + draw(st.sampled_from([0.0, 1e-13, -1e-12, 0.3 * step]))}
+
+
+@st.composite
+def state_blocks(draw):
+    """A scenario name and config whose state block is a mode, modes or
+    two_mode form on a small grid."""
+    n, length = draw(st.sampled_from(SMALL_GRIDS))
+    form = draw(st.sampled_from(["mode", "modes", "two_mode"]))
+    if form == "mode":
+        name, block = "branch-demo", draw(mode_selectors(n, length))
+    elif form == "modes":
+        name = "superposition-scan"
+        selectors = draw(st.lists(mode_selectors(n, length), min_size=1, max_size=3))
+        if draw(st.booleans()):  # a twin of the first entry: its index in the other form
+            step, first = 2.0 * math.pi / length, selectors[0]
+            selectors.append({"k": first["index"] * step + 1e-13} if "index" in first
+                             else {"index": round(first["k"] / step)})
+        raw = draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                            min_size=len(selectors), max_size=len(selectors)))
+        if draw(st.sampled_from([True, True, False])):  # unit norm, else as drawn
+            scale = math.sqrt(sum(abs(a) ** 2 for a in raw))
+            raw = [a / scale for a in raw]
+        block = [{"amplitude_re": a.real, "amplitude_im": a.imag, **sel}
+                 for a, sel in zip(raw, selectors)]
+    else:
+        name = "two-mode"
+        a1_sq = draw(st.floats(0.05, 0.95))
+        block = {"a1_sq": a1_sq, "a2_sq": 1.0 - a1_sq,
+                 "omega1": draw(st.floats(1.0, 3.0)), "omega2": draw(st.floats(1.0, 3.0))}
+    return {"scenario": name, "grid": {"n": n, "length": length}, "state": {form: block},
+            "times": [0.0, 1.0]}
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(state_blocks())
+def test_validate_and_run_agree_on_every_state_block(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        validated = _cli(["validate", str(cfg_path)])
+        ran = _cli(["run", str(cfg_path), "--out", str(Path(tmp) / "out"), "--quiet"])
+    assert validated[0] == ran[0]
+    for code, out, err in (validated, ran):
+        if code != 0:
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert out == ""
