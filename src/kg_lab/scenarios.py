@@ -341,9 +341,9 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
             raise ConfigError(f"c_factor: {exc}") from exc
         kwargs["c_factor"] = factor
 
-    # Every series is evolved to t and t -/+ dt (the negative branch has the
-    # same |omega|); nonrel-limit also evolves both its branches, in both unit
-    # systems, to strip_time.
+    # Every series is evolved to t, and from there by -/+ dt (the negative
+    # branch has the same |omega|); nonrel-limit also evolves both its
+    # branches, in both unit systems, to strip_time.
     w_max = _max_omega(DispersionKind.KLEIN_GORDON_POSITIVE, grid, units,
                        max(abs(t) for t in times) + dt, "times")
     for i, t in enumerate(times):
@@ -459,7 +459,9 @@ def _series_for(state: SpectralState,
     """Evolve to each sample time and collect summary rows and field blocks.
 
     Each sample's fields at t and t -/+ dt are returned too, so that runners
-    read them rather than evolving again. Moments are taken on the
+    read them rather than evolving again. The t -/+ dt snapshots are the
+    sample state evolved by -/+ dt, so the rounding of t -/+ dt never enters
+    their phase. Moments are taken on the
     conserved density for the positive branch and on psi*psi otherwise (the
     conserved density need not be a positive measure off the physical
     branch).
@@ -470,8 +472,8 @@ def _series_for(state: SpectralState,
     for t in config.times:
         result = evolve(state, t)
         fields = compute_fields(result, spread_tol=config.gamma_spread_tol)
-        before = compute_fields(evolve(state, t - dt))
-        after = compute_fields(evolve(state, t + dt))
+        before = compute_fields(evolve(result.state, -dt))
+        after = compute_fields(evolve(result.state, dt))
         residual = continuity_residual(getattr(before, rho_pair_name),
                                        getattr(after, rho_pair_name), fields.j_std, dt, grid)
         mom_rho = fields.rho_kg if state.kind is DispersionKind.KLEIN_GORDON_POSITIVE \

@@ -309,6 +309,12 @@ def test_mode_entries_on_one_lattice_index_fail_validate_and_run_alike(tmp_path,
     _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
 
 
+def test_continuity_residual_stays_small_at_t_1e6(tmp_path):
+    cfg = validate_config(_config_text("packet-continuity", times=[1e6]),
+                          output_override=str(tmp_path))
+    assert run_scenario(cfg).results["max_residual_conserved"] <= 1e-6
+
+
 def test_run_exits_2_when_the_physics_overflows(tmp_path, capsys):
     # Every lattice frequency and phase is finite, but in this tiny box the
     # spectral derivative of the current overflows: the run must stop with
@@ -344,7 +350,7 @@ def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
 
 
 # One catalog run evolves each sample once: the initial state to each sample
-# time t and to t -/+ dt_continuity, per series, plus
+# time t, and the sample state by -/+ dt_continuity, per series, plus
 # nonrel-limit's four strip-time evolves. validate builds every initial state
 # and the runners re-tag its coefficients, so a run makes no forward
 # transform. Transforms: one inverse per state whose values are read, one
@@ -471,8 +477,8 @@ def mode_selectors(draw, n, length):
 
 @st.composite
 def state_blocks(draw):
-    """A scenario name and config whose state block is a mode, modes or
-    two_mode form on a small grid."""
+    """A config whose state block is a mode, modes or two_mode form on a
+    small grid."""
     n, length = draw(st.sampled_from(SMALL_GRIDS))
     form = draw(st.sampled_from(["mode", "modes", "two_mode"]))
     if form == "mode":
@@ -507,7 +513,7 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)  # each example writes files
 @given(state_blocks())
 def test_validate_and_run_agree_on_every_state_block(config):
     with tempfile.TemporaryDirectory() as tmp:
