@@ -219,6 +219,49 @@ def test_run_is_deterministic(tmp_path):
     assert first == second
 
 
+def test_rerun_replaces_each_output_file(tmp_path):
+    # A rerun writes each output as a new file: a hard link to the old one
+    # keeps the first run's bytes, and a symlink is replaced, not followed.
+    out = tmp_path / "out"
+    run_scenario(validate_config(_config_text("gamma-density", **SMALL),
+                                 output_override=str(out)))
+    fields = out / "gamma-density_fields.csv"
+    first = fields.read_bytes()
+    kept = tmp_path / "kept.csv"
+    os.link(fields, kept)
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"target\n")
+    summary = out / "gamma-density_summary.csv"
+    summary.unlink()
+    summary.symlink_to(target)
+
+    run_scenario(validate_config(_config_text("gamma-density", **{**SMALL, "times": [5.0]}),
+                                 output_override=str(out)))
+    assert kept.read_bytes() == first
+    assert not os.path.samefile(fields, kept)
+    assert fields.read_bytes() != first
+    assert fields.read_bytes().count(b"\n") == 1 + 512  # header + one sample time
+    assert not summary.is_symlink() and summary.is_file()
+    assert summary.read_bytes().startswith(",".join(SUMMARY_COLUMNS).encode())
+    assert target.read_bytes() == b"target\n"
+
+
+@pytest.mark.parametrize("blocked", ["gamma-density_run.json", "gamma-density_fields.csv"])
+def test_run_exits_4_when_an_output_path_is_a_directory(tmp_path, capsys, blocked):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_config_text("gamma-density", **SMALL))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "IsADirectoryError"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert (out / blocked).is_dir()
+
+
 def test_cli_run_and_validate(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_config_text("gamma-density", **SMALL))
@@ -330,7 +373,9 @@ def test_run_exits_2_when_the_physics_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "FloatingPointError"
+    record = json.loads(lines[0])
+    assert record["error"] == "FloatingPointError"
+    assert record["message"].startswith("scenario 'gamma-density', stage runner: overflow")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -351,8 +396,9 @@ def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
 
 # One catalog run evolves each sample once: the initial state to each sample
 # time t, and the sample state by -/+ dt_continuity, per series, plus
-# nonrel-limit's four strip-time evolves. validate builds every initial state
-# and the runners re-tag its coefficients, so a run makes no forward
+# nonrel-limit's strip-time evolves: four, less the base-unit KG+ one when
+# strip_time is a sample time, as by default. validate builds every initial
+# state and the runners re-tag its coefficients, so a run makes no forward
 # transform. Transforms: one inverse per state whose values are read, one
 # inverse per derivative read (the t -/+ dt snapshots read dpsi/dt for a
 # conserved density and never dpsi/dx), two per continuity residual.
@@ -363,7 +409,7 @@ EVOLVE_CALLS = {
     "branch-demo": 6,
     "two-mode": 3,
     "superposition-scan": 9,
-    "nonrel-limit": 7,
+    "nonrel-limit": 6,
 }
 TRANSFORM_CALLS = {
     "packet-continuity": 66,
@@ -372,7 +418,7 @@ TRANSFORM_CALLS = {
     "branch-demo": 18,
     "two-mode": 9,
     "superposition-scan": 27,
-    "nonrel-limit": 13,
+    "nonrel-limit": 12,
 }
 
 
@@ -401,6 +447,15 @@ def test_each_sample_is_evolved_once(tmp_path, monkeypatch, name):
     run_scenario(config)
     assert len(calls) == EVOLVE_CALLS[name]
     assert len(transforms) == TRANSFORM_CALLS[name]
+
+
+def test_nonrel_limit_gaps_do_not_depend_on_the_sample_times(tmp_path):
+    # At strip_time = 5 the base-unit KG+ state is the main series' sample;
+    # at times [0] it is evolved on its own. The gaps agree bitwise.
+    gaps = [run_scenario(validate_config(_config_text("nonrel-limit", times=times),
+                                         output_override=str(tmp_path))).results["gaps"]
+            for times in ([5.0], [0.0])]
+    assert gaps[0] == gaps[1]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
