@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,6 +88,16 @@ class Grid1D:
         """Array position of the unmatched -n/2 mode."""
         return self.n // 2
 
+    @cached_property
+    def circle_points(self) -> np.ndarray:
+        """The points mapped onto the unit circle, exp(i 2 pi (x + L/2) / L).
+
+        Read-only and computed once per grid: the complex exp costs about
+        as much as an FFT, and every circular mean reads it.
+        """
+        angles = 2.0 * math.pi * (self.points + 0.5 * self.length) / self.length
+        return _readonly(np.exp(1j * angles))
+
     def wavenumber_index(self, k: float, tol: float = 1e-9) -> int:
         """Array position of lattice wavenumber k; BandwidthError off-lattice.
 
@@ -146,17 +156,21 @@ def _twist(n: int) -> np.ndarray:
 
 # norm="forward" puts the whole 1/n on the forward transform and none on
 # the inverse. make_grid admits only powers of two, so the scaling is exact.
+# Each transform works in the one array it returns (np.fft's out= needs
+# numpy >= 2.0): a complex input costs one n-sized allocation, not two.
 
 def forward_transform(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     """Spatial samples -> centered-grid plane-wave coefficients (1/n norm)."""
     values = _check_length(grid, values, "values")
-    return _twist(grid.n) * np.fft.fft(values, norm="forward")
+    out = np.fft.fft(values, norm="forward")
+    return np.multiply(_twist(grid.n), out, out=out)
 
 
 def inverse_transform(grid: Grid1D, coefficients: np.ndarray) -> np.ndarray:
     """Centered-grid plane-wave coefficients -> spatial samples."""
     coefficients = _check_length(grid, coefficients, "coefficients")
-    return np.fft.ifft(_twist(grid.n) * coefficients, norm="forward")
+    out = _twist(grid.n) * coefficients
+    return np.fft.ifft(out, norm="forward", out=out)
 
 
 def spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:
@@ -166,7 +180,9 @@ def spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     band-limited fields); complex input stays complex.
     """
     was_real = not np.iscomplexobj(values)
-    out = inverse_transform(grid, 1j * grid.wavenumbers * forward_transform(grid, values))
+    coefficients = forward_transform(grid, values)
+    np.multiply(1j * grid.wavenumbers, coefficients, out=coefficients)
+    out = inverse_transform(grid, coefficients)
     return out.real if was_real else out
 
 

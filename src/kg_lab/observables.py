@@ -48,18 +48,27 @@ def _real_part(z: np.ndarray, what: str) -> np.ndarray:
     return np.ascontiguousarray(z.real)
 
 
+def _bilinear(prefactor: complex, psi: np.ndarray, d: np.ndarray, what: str) -> np.ndarray:
+    """prefactor * (conj(psi) d - psi conj(d)) of complex arrays, in two arrays."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    d = np.asarray(d, dtype=np.complex128)
+    z = np.conj(psi)
+    np.multiply(z, d, out=z)
+    w = np.conj(d)
+    np.multiply(psi, w, out=w)
+    np.subtract(z, w, out=z)
+    np.multiply(prefactor, z, out=z)
+    return _real_part(z, what)
+
+
 def density_kg(psi: np.ndarray, dpsi_dt: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Conserved Klein-Gordon density; the formula is branch-agnostic."""
-    prefactor = -units.hbar / (2j * units.m * units.c**2)
-    z = prefactor * (np.conj(psi) * dpsi_dt - psi * np.conj(dpsi_dt))
-    return _real_part(z, "density")
+    return _bilinear(-units.hbar / (2j * units.m * units.c**2), psi, dpsi_dt, "density")
 
 
 def current_std(psi: np.ndarray, dpsi_dx: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Standard probability current, shared by both wave equations."""
-    prefactor = units.hbar / (2j * units.m)
-    z = prefactor * (np.conj(psi) * dpsi_dx - psi * np.conj(dpsi_dx))
-    return _real_part(z, "current")
+    return _bilinear(units.hbar / (2j * units.m), psi, dpsi_dx, "current")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +145,14 @@ def continuity_residual(rho_before: np.ndarray, rho_after: np.ndarray,
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    drho_dt = (np.asarray(rho_after, dtype=np.float64)
-               - np.asarray(rho_before, dtype=np.float64)) / (2.0 * dt)
-    dj_dx = spectral_derivative(grid, np.asarray(current, dtype=np.float64))
-    defect = float(np.max(np.abs(drho_dt + dj_dx)))
-    scale = float(np.max(np.abs(current)))
+    current = np.asarray(current, dtype=np.float64)
+    # drho/dt + dj/dx, then its magnitude, then |j|, all in one array.
+    work = np.subtract(np.asarray(rho_after, dtype=np.float64),
+                       np.asarray(rho_before, dtype=np.float64))
+    work /= 2.0 * dt
+    work += spectral_derivative(grid, current)
+    defect = float(np.max(np.abs(work, out=work)))
+    scale = float(np.max(np.abs(current, out=work)))
     if scale == 0.0:
         return 0.0 if defect == 0.0 else math.inf
     return defect * grid.length / scale
@@ -263,8 +275,7 @@ def moments(rho: np.ndarray, grid: Grid1D) -> Moments:
     edge = max(1, int(round(_EDGE_BAND * grid.n)))
     edge_mass = float(np.abs(weights[:edge]).sum() + np.abs(weights[-edge:]).sum())
     if edge_mass > _EDGE_MASS_SWITCH:
-        angles = 2.0 * math.pi * (x + 0.5 * grid.length) / grid.length
-        z = complex(np.sum(weights * np.exp(1j * angles)))
+        z = complex(np.sum(weights * grid.circle_points))
         angle = math.atan2(z.imag, z.real) % (2.0 * math.pi)
         centroid = -0.5 * grid.length + grid.length * angle / (2.0 * math.pi)
         disp = np.mod(x - centroid + 0.5 * grid.length, grid.length) - 0.5 * grid.length

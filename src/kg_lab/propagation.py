@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionKind, omega
+from .dispersion import DispersionKind
 from .errors import KindError
 from .states import SpectralState, from_coefficients
 from .foundation import UnitSystem, _readonly, inverse_transform
@@ -32,23 +32,34 @@ class EvolutionResult:
     def dpsi_dt(self) -> np.ndarray:
         """The time derivative of psi(x), read-only."""
         state = self.state
-        omegas = omega(state.kind, state.grid.wavenumbers, state.units)
-        return _readonly(inverse_transform(state.grid, -1j * omegas * state.coefficients))
+        spectrum = -1j * state.omegas
+        np.multiply(spectrum, state.coefficients, out=spectrum)
+        return _readonly(inverse_transform(state.grid, spectrum))
 
     @property
     def dpsi_dx(self) -> np.ndarray:
         """The space derivative of psi(x), read-only."""
         grid = self.state.grid
-        return _readonly(inverse_transform(grid, 1j * grid.wavenumbers * self.state.coefficients))
+        spectrum = 1j * grid.wavenumbers
+        np.multiply(spectrum, self.state.coefficients, out=spectrum)
+        return _readonly(inverse_transform(grid, spectrum))
 
 
 def evolve(state: SpectralState, t: float) -> EvolutionResult:
-    """Advance the state by time t (exact, reversible via -t)."""
-    omegas = omega(state.kind, state.grid.wavenumbers, state.units)
-    coefficients = state.coefficients * np.exp(-1j * omegas * float(t))
+    """Advance the state by time t (exact, reversible via -t).
+
+    The phase is built in the array that becomes the new coefficients, and
+    the new state shares the frequencies of this one.
+    """
+    coefficients = -1j * state.omegas
+    coefficients *= float(t)
+    np.exp(coefficients, out=coefficients)
+    np.multiply(state.coefficients, coefficients, out=coefficients)
     new_state = from_coefficients(
         state.grid, state.units, state.kind, coefficients, time=state.time + float(t)
     )
+    # Same grid, units and branch: the frequencies carry over unchanged.
+    object.__setattr__(new_state, "omegas", state.omegas)
     return EvolutionResult(state=new_state)
 
 
@@ -74,6 +85,6 @@ def kg_residual(state: SpectralState, t: float = 0.0) -> float:
     """
     if state.kind is DispersionKind.SCHRODINGER:
         raise KindError("the mass-shell residual is defined for Klein-Gordon states")
-    omegas = omega(state.kind, state.grid.wavenumbers, state.units)
+    omegas = state.omegas
     coefficients = state.coefficients * np.exp(-1j * omegas * float(t))
     return _spectral_residual(coefficients, omegas, state.grid.wavenumbers, state.units)

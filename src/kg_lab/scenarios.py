@@ -17,6 +17,7 @@ config itself contains.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -375,9 +376,13 @@ def _format_floats(template: str, values: Any) -> str:
 
     '%' writes non-finite values as nan, inf and -inf (never -nan); they are
     respelled NaN, Infinity and -Infinity here. No finite '%.17g' string
-    contains those letters, so the rewrite cannot touch a number.
+    contains those letters, or any "n", so finite text skips the rewrite
+    and the rewrite cannot touch a number.
     """
-    return (template % tuple(values)).replace("nan", "NaN").replace("inf", "Infinity")
+    text = template % tuple(values)
+    if "n" not in text:
+        return text
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _fmt(x: float) -> str:
@@ -542,13 +547,15 @@ def _summary_json(rows: list[dict[str, float]]) -> str:
 
 
 def _write_series(out: Path, stem: str, grid: Grid1D, series: ObservableSeries,
-                  fmt: str) -> list[Path]:
+                  fmt: str, written: list[Path]) -> None:
+    """Write a series' fields and summary files, appending each to written."""
     fields_text, summary_text = (_fields_csv, _summary_csv) if fmt == "csv" \
         else (_fields_json, _summary_json)
     fields_path, summary_path = out / f"{stem}_fields.{fmt}", out / f"{stem}_summary.{fmt}"
     _write_text(fields_path, fields_text(grid, series.field_blocks))
+    written.append(fields_path)
     _write_text(summary_path, summary_text(series.summary))
-    return [fields_path, summary_path]
+    written.append(summary_path)
 
 
 # What a runner returns: the series to write (keyed "main", or by branch
@@ -764,7 +771,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     The runner computes under numpy's raise mode, so an overflow or invalid
     value raises FloatingPointError, naming the scenario and the stage,
     instead of writing NaN or inf. Nothing is written, and no directory
-    made, unless the runner returns.
+    made, unless the runner returns. If an output cannot be written, the
+    files this run already wrote are removed before the error propagates,
+    so a failed run leaves no half of itself behind.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -775,19 +784,25 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
-    for label, ser in series.items():
-        stem = config.scenario if label == "main" else f"{config.scenario}_{label}"
-        files += _write_series(out, stem, config.grid, ser, config.fmt)
+    try:
+        for label, ser in series.items():
+            stem = config.scenario if label == "main" else f"{config.scenario}_{label}"
+            _write_series(out, stem, config.grid, ser, config.fmt, files)
 
-    metadata = {
-        "scenario": config.scenario,
-        "version": __version__,
-        "config": config.resolved,
-        "derived": derived,
-        "results": results,
-    }
-    meta_path = out / f"{config.scenario}_run.json"
-    _write_text(meta_path, _dumps(metadata) + "\n")
-    files.append(meta_path)
+        metadata = {
+            "scenario": config.scenario,
+            "version": __version__,
+            "config": config.resolved,
+            "derived": derived,
+            "results": results,
+        }
+        meta_path = out / f"{config.scenario}_run.json"
+        _write_text(meta_path, _dumps(metadata) + "\n")
+        files.append(meta_path)
+    except BaseException:
+        for path in files:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     return RunResult(scenario=config.scenario, files=files, results=results,
                      derived=derived, series=series)

@@ -16,9 +16,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .dispersion import DispersionKind
+from .dispersion import DispersionKind, omega
 from .errors import BandwidthError, KindError
 from .foundation import (
+    NYQUIST_TOLERANCE,
     Grid1D,
     UnitSystem,
     _readonly,
@@ -31,6 +32,9 @@ from .foundation import (
 
 _NORM_TOL = 1e-10
 _UNITARITY_TOL = 1e-10
+# Distance from a packet's center, in sigma, at which its envelope
+# e^{-d^2/4 sigma^2} falls to NYQUIST_TOLERANCE: 2 sqrt(ln 1e10) ≈ 9.6.
+SUPPORT_SIGMAS = 2.0 * math.sqrt(-math.log(NYQUIST_TOLERANCE))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +62,15 @@ class SpectralState:
     def values(self) -> np.ndarray:
         """The sampled wave function psi(x), read-only."""
         return _readonly(inverse_transform(self.grid, self.coefficients))
+
+    @cached_property
+    def omegas(self) -> np.ndarray:
+        """The branch's angular frequency at each lattice wavenumber, read-only.
+
+        evolve hands this array on to the state it returns, so a state
+        lineage computes it once.
+        """
+        return _readonly(omega(self.kind, self.grid.wavenumbers, self.units))
 
     @property
     def density_nonrel(self) -> np.ndarray:
@@ -88,11 +101,18 @@ class PacketSpec:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def validate_on(self, grid: Grid1D) -> None:
-        """Support and bandwidth preconditions against a concrete grid."""
-        if abs(self.x0) + 6.0 * self.sigma >= 0.5 * grid.length:
+        """Support and bandwidth preconditions against a concrete grid.
+
+        The envelope e^{-d^2/4 sigma^2} at distance d from the center must
+        fall below NYQUIST_TOLERANCE before the periodic seam, or the cut
+        tail reaches the Nyquist line: |x0| + SUPPORT_SIGMAS sigma < L/2.
+        """
+        reach = abs(self.x0) + SUPPORT_SIGMAS * self.sigma
+        if reach >= 0.5 * grid.length:
             raise BandwidthError(
-                f"packet support |x0| + 6 sigma = {abs(self.x0) + 6 * self.sigma} "
-                f"does not fit inside the box of length {grid.length}"
+                f"packet support |x0| + {SUPPORT_SIGMAS:.2f} sigma = {reach} "
+                f"does not fit inside the half box {0.5 * grid.length}: the envelope "
+                f"must fall below {NYQUIST_TOLERANCE:.0e} before the periodic seam"
             )
         k_max = math.pi * grid.n / grid.length
         if abs(self.k0) + 2.0 / self.sigma >= k_max:

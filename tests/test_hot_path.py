@@ -1,0 +1,183 @@
+"""The allocation-lean hot path equals the plain expressions, bit for bit.
+
+Transforms, evolve, the derivatives and the bilinears work in the one array
+each returns, and each state lineage computes its frequencies once. These
+tests write the plain numpy expressions out (one fresh array per operation)
+and require the in-place steps to reproduce them exactly, without touching
+any input array.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+import kg_lab
+from kg_lab import (
+    DispersionKind,
+    PacketSpec,
+    UnitSystem,
+    compute_fields,
+    continuity_residual,
+    current_std,
+    density_kg,
+    evolve,
+    forward_transform,
+    from_coefficients,
+    gaussian_packet,
+    inverse_transform,
+    make_grid,
+    moments,
+    omega,
+    spectral_derivative,
+    unphysical_negative_branch,
+)
+from kg_lab import observables
+from kg_lab.foundation import _twist
+
+KG = DispersionKind.KLEIN_GORDON_POSITIVE
+KINDS = [KG, unphysical_negative_branch(), DispersionKind.SCHRODINGER]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64
+                                ).view(np.uint64)
+
+
+def _same(a, b):
+    return np.array_equal(_bits(a), _bits(b))
+
+
+def _random_state(grid, units, kind, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    a[grid.nyquist_index] = 0.0
+    a /= math.sqrt(grid.length * np.vdot(a, a).real)
+    return from_coefficients(grid, units, kind, a)
+
+
+# The parent's expressions, one fresh array per operation.
+
+def _plain_forward(n, values):
+    return _twist(n) * np.fft.fft(values, norm="forward")
+
+
+def _plain_inverse(n, coefficients):
+    return np.fft.ifft(_twist(n) * coefficients, norm="forward")
+
+
+def _plain_derivative(grid, values):
+    out = _plain_inverse(grid.n, 1j * grid.wavenumbers * _plain_forward(grid.n, values))
+    return out if np.iscomplexobj(values) else out.real
+
+
+def _plain_bilinear(prefactor, psi, d):
+    return (prefactor * (np.conj(psi) * d - psi * np.conj(d))).real
+
+
+def _plain_continuity(rho_before, rho_after, current, dt, grid):
+    drho_dt = (rho_after - rho_before) / (2.0 * dt)
+    dj_dx = _plain_derivative(grid, current)
+    defect = float(np.max(np.abs(drho_dt + dj_dx)))
+    return defect * grid.length / float(np.max(np.abs(current)))
+
+
+def _plain_edge_moments(rho, grid):
+    mass = float(rho.sum())
+    weights = rho / mass
+    x = grid.points
+    angles = 2.0 * math.pi * (x + 0.5 * grid.length) / grid.length
+    z = complex(np.sum(weights * np.exp(1j * angles)))
+    angle = math.atan2(z.imag, z.real) % (2.0 * math.pi)
+    centroid = -0.5 * grid.length + grid.length * angle / (2.0 * math.pi)
+    disp = np.mod(x - centroid + 0.5 * grid.length, grid.length) - 0.5 * grid.length
+    return mass * grid.dx, centroid, float(np.sum(weights * disp**2))
+
+
+@given(
+    n=st.sampled_from([2**p for p in range(3, 13)]),
+    length=st.floats(1.0, 1000.0),
+    m=st.sampled_from([1.0, 4.0]),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 1e6),
+)
+def test_in_place_steps_equal_the_plain_expressions(n, length, m, kind, seed, t):
+    grid = make_grid(n, length)
+    units = UnitSystem(hbar=1.0, c=1.0, m=m)
+    state = _random_state(grid, units, kind, seed)
+    coefficients = np.array(state.coefficients)  # a writable copy to pass in
+    psi = _plain_inverse(n, coefficients)
+    real = np.ascontiguousarray(psi.real)
+    inputs = [coefficients, psi, real]
+    kept = [a.copy() for a in inputs]
+
+    assert _same(inverse_transform(grid, coefficients), psi)
+    assert _same(forward_transform(grid, psi), _plain_forward(n, psi))
+    assert _same(forward_transform(grid, real), _plain_forward(n, real))
+    assert _same(spectral_derivative(grid, psi), _plain_derivative(grid, psi))
+    assert _same(spectral_derivative(grid, real), _plain_derivative(grid, real))
+    assert _same(state.values, psi)
+    assert _same(state.density_nonrel, psi.real**2 + psi.imag**2)
+
+    omegas = omega(kind, grid.wavenumbers, units)
+    result = evolve(state, t)
+    evolved = coefficients * np.exp(-1j * omegas * float(t))
+    assert _same(result.state.coefficients, evolved)
+    assert _same(result.state.omegas, omegas)
+    dpsi_dt = _plain_inverse(n, -1j * omegas * evolved)
+    dpsi_dx = _plain_inverse(n, 1j * grid.wavenumbers * evolved)
+    assert _same(result.dpsi_dt, dpsi_dt)
+    assert _same(result.dpsi_dx, dpsi_dx)
+
+    psi_t = _plain_inverse(n, evolved)
+    inputs += [psi_t, dpsi_dt, dpsi_dx]
+    kept += [a.copy() for a in inputs[3:]]
+    assert _same(density_kg(psi_t, dpsi_dt, units),
+                 _plain_bilinear(-units.hbar / (2j * units.m * units.c**2), psi_t, dpsi_dt))
+    j = current_std(psi_t, dpsi_dx, units)
+    assert _same(j, _plain_bilinear(units.hbar / (2j * units.m), psi_t, dpsi_dx))
+
+    rho_before = np.array(evolve(result.state, -1e-3).state.density_nonrel)
+    rho_after = np.array(evolve(result.state, 1e-3).state.density_nonrel)
+    inputs += [rho_before, rho_after, j]
+    kept += [a.copy() for a in inputs[6:]]
+    residual = continuity_residual(rho_before, rho_after, j, 1e-3, grid)
+    assert residual == _plain_continuity(rho_before, rho_after, j, 1e-3, grid)
+
+    # A random spectrum fills the box, so moments takes the circular mean.
+    rho = np.array(result.state.density_nonrel)
+    edge = max(1, round(observables._EDGE_BAND * n))
+    assert (rho[:edge].sum() + rho[-edge:].sum()) / rho.sum() > observables._EDGE_MASS_SWITCH
+    inputs.append(rho)
+    kept.append(rho.copy())
+    assert _same(np.array(moments(rho, grid)), np.array(_plain_edge_moments(rho, grid)))
+
+    for before, after in zip(kept, inputs):
+        assert _same(before, after)
+
+
+def test_a_kg_sweep_op_computes_omega_once(monkeypatch):
+    calls = []
+    plain = kg_lab.dispersion.omega
+
+    def counting(*args):
+        calls.append(args[0])
+        return plain(*args)
+
+    for module in (kg_lab, kg_lab.dispersion, kg_lab.states, kg_lab.propagation,
+                   kg_lab.observables):
+        if hasattr(module, "omega"):
+            monkeypatch.setattr(module, "omega", counting)
+    grid, dt, t = make_grid(4096, 400.0), 1e-3, 1e4
+    state = gaussian_packet(PacketSpec(10.0, 2.0, 8.0), grid, UnitSystem(1.0, 1.0, 4.0), KG)
+    # One packet-sweep op: evolve, fields, the t -/+ dt snapshots, the
+    # continuity residual and moments.
+    result = evolve(state, t)
+    fields = compute_fields(result)
+    before = compute_fields(evolve(state, t - dt)).rho_kg
+    after = compute_fields(evolve(state, t + dt)).rho_kg
+    continuity_residual(before, after, fields.j_std, dt, grid)
+    moments(fields.rho_kg, grid)
+    assert calls == [KG]
+    assert result.state.omegas is state.omegas
+    assert evolve(result.state, -t).state.omegas is state.omegas

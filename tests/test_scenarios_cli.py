@@ -260,6 +260,8 @@ def test_run_exits_4_when_an_output_path_is_a_directory(tmp_path, capsys, blocke
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert (out / blocked).is_dir()
+    # The files written before the failing one are removed with it.
+    assert [p.name for p in out.iterdir()] == [blocked]
 
 
 def test_cli_run_and_validate(tmp_path, capsys):
@@ -306,13 +308,20 @@ def test_extreme_units_exit_as_config_errors(tmp_path, capsys, config):
 
 
 def test_validate_rejects_packet_that_fails_nyquist_check(tmp_path, capsys):
-    # Inside the support rule, but the built state leaks 1.6e-10 > 1e-10 of
-    # its norm into the Nyquist mode: validate must fail as run does.
+    # Inside the support and bandwidth rules, but the carrier sits so close
+    # to the grid bandwidth that the built state leaks 4.8e-6 > 1e-10 of its
+    # norm into the Nyquist mode: validate must fail as run does.
     text = _config_text("packet-continuity",
-                        state={"packet": {"x0": 48.0, "k0": 3.0, "sigma": 19.9}},
+                        state={"packet": {"x0": 0.0, "k0": 32.0, "sigma": 20.0}},
                         times=[0.0])
     with pytest.raises(BandwidthError, match="Nyquist"):
         validate_config(text)
+    # x0=48, sigma=19.9 leaked 1.6e-10 under the old |x0| + 6 sigma rule;
+    # the envelope-derived rule rejects it before any state is built.
+    with pytest.raises(BandwidthError, match="packet support"):
+        validate_config(_config_text("packet-continuity",
+                                     state={"packet": {"x0": 48.0, "k0": 3.0, "sigma": 19.9}},
+                                     times=[0.0]))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     assert main(["validate", str(cfg_path)]) == 3

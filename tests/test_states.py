@@ -21,7 +21,7 @@ from kg_lab import (
     unphysical_negative_branch,
 )
 from kg_lab.foundation import check_bandwidth, forward_transform, state_norm
-from kg_lab.states import PacketSpec
+from kg_lab.states import SUPPORT_SIGMAS, PacketSpec
 
 KG = DispersionKind.KLEIN_GORDON_POSITIVE
 
@@ -36,19 +36,21 @@ def test_packet_spec_validation():
 
 
 def test_packet_support_rule(natural, grid400):
-    # |x0| + 6 sigma must fit inside the half box.
+    # |x0| + 9.6 sigma must fit inside the half box.
+    assert SUPPORT_SIGMAS == pytest.approx(9.597, abs=1e-3)
     with pytest.raises(BandwidthError):
         gaussian_packet(PacketSpec(150.0, 0.0, 10.0), grid400, natural, KG)
     with pytest.raises(BandwidthError):
-        gaussian_packet(PacketSpec(0.0, 0.0, 34.0), grid400, natural, KG)
+        gaussian_packet(PacketSpec(0.0, 0.0, 21.0), grid400, natural, KG)
     gaussian_packet(PacketSpec(100.0, 0.0, 10.0), grid400, natural, KG)
 
 
 def test_packet_seam_tail_still_gated(natural, grid400):
-    # The 6 sigma rule is necessary, not sufficient: a packet hugging the
-    # seam leaves a wrap discontinuity whose spectral tail reaches the
-    # Nyquist line, and the band-limit check is the authority.
-    with pytest.raises(BandwidthError):
+    # A packet hugging the seam leaves a wrap discontinuity whose spectral
+    # tail reaches the Nyquist line. Under the old |x0| + 6 sigma rule this
+    # one was admitted and failed the band-limit check; the envelope rule
+    # now rejects it first.
+    with pytest.raises(BandwidthError, match="packet support"):
         gaussian_packet(PacketSpec(100.0, 0.0, 16.0), grid400, natural, KG)
 
 
