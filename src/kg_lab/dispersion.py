@@ -102,7 +102,8 @@ class GammaStats(NamedTuple):
 def gamma_of_state(state: "SpectralState") -> GammaStats:
     """Weighted mean and standard deviation of gamma over |a_j|^2 weights.
 
-    Only positive-branch Klein-Gordon states carry a Lorentz factor.
+    Only positive-branch Klein-Gordon states carry a Lorentz factor. The
+    frequencies are the state's own, computed once per state lineage.
     """
     if state.kind is not DispersionKind.KLEIN_GORDON_POSITIVE:
         raise KindError("gamma statistics require a positive-branch Klein-Gordon state")
@@ -111,10 +112,7 @@ def gamma_of_state(state: "SpectralState") -> GammaStats:
     if total <= 0.0:
         raise ValueError("state carries no spectral weight")
     weights = weights / total
-    gam = gamma_of_omega(
-        omega(DispersionKind.KLEIN_GORDON_POSITIVE, state.grid.wavenumbers, state.units),
-        state.units,
-    )
+    gam = gamma_of_omega(state.omegas, state.units)
     gamma_bar = float(np.sum(weights * gam))
     gamma_spread = float(math.sqrt(max(0.0, float(np.sum(weights * (gam - gamma_bar) ** 2)))))
     return GammaStats(gamma_bar=gamma_bar, gamma_spread=gamma_spread)

@@ -122,6 +122,9 @@ def make_grid(n: int, length: float) -> Grid1D:
     """Build the n-point periodic grid on [-L/2, L/2).
 
     n must be a power of two, at least 8; length must be positive finite.
+    The wavenumber lattice is exactly antisymmetric: k[n-j] == -k[j] bit
+    for bit for j = 1..n/2-1, and k[n/2] = -(n/2) 2 pi/L is the one mode
+    without a partner. Anything even in k is therefore mirrored exactly.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an integer, got {n!r}")

@@ -45,15 +45,30 @@ class EvolutionResult:
         return _readonly(inverse_transform(grid, spectrum))
 
 
+def _phase(omegas: np.ndarray, t: float) -> np.ndarray:
+    """The evolution phase exp(-i omega_j t) at every lattice mode, as a new array.
+
+    omega is even in k and make_grid's lattice is exactly antisymmetric, so
+    omega_{n-j} equals omega_j bit for bit. Modes 0..n/2 are exponentiated;
+    the rest copy their mirror image, in the same array.
+    """
+    half = omegas.shape[0] // 2
+    phase = -1j * omegas
+    head = phase[:half + 1]
+    head *= t
+    np.exp(head, out=head)
+    np.copyto(phase[half + 1:], phase[half - 1:0:-1])
+    return phase
+
+
 def evolve(state: SpectralState, t: float) -> EvolutionResult:
     """Advance the state by time t (exact, reversible via -t).
 
-    The phase is built in the array that becomes the new coefficients, and
-    the new state shares the frequencies of this one.
+    The phase is exponentiated on modes 0..n/2 and mirrored onto the
+    rest, in the array that becomes the new coefficients; the new state
+    shares the frequencies of this one.
     """
-    coefficients = -1j * state.omegas
-    coefficients *= float(t)
-    np.exp(coefficients, out=coefficients)
+    coefficients = _phase(state.omegas, float(t))
     np.multiply(state.coefficients, coefficients, out=coefficients)
     new_state = from_coefficients(
         state.grid, state.units, state.kind, coefficients, time=state.time + float(t)
@@ -86,5 +101,5 @@ def kg_residual(state: SpectralState, t: float = 0.0) -> float:
     if state.kind is DispersionKind.SCHRODINGER:
         raise KindError("the mass-shell residual is defined for Klein-Gordon states")
     omegas = state.omegas
-    coefficients = state.coefficients * np.exp(-1j * omegas * float(t))
+    coefficients = state.coefficients * _phase(omegas, float(t))
     return _spectral_residual(coefficients, omegas, state.grid.wavenumbers, state.units)

@@ -128,13 +128,19 @@ def gaussian_packet(spec: PacketSpec, grid: Grid1D, units: UnitSystem,
 
     The sampled profile is renormalized so the Riemann-sum norm is exactly
     one; for packets that satisfy the support rule the correction is at
-    the rounding level.
+    the rounding level. The carrier e^{i k0 x} is evaluated only on the
+    window between the first and last samples where the envelope is
+    nonzero; outside it the envelope has underflowed to 0.0 and the samples
+    are zero.
     """
     spec.validate_on(grid)
     x = grid.points
     envelope = (2.0 * math.pi * spec.sigma**2) ** -0.25 \
         * np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
-    values = envelope * np.exp(1j * spec.k0 * x)
+    support = np.flatnonzero(envelope)
+    window = slice(support[0], support[-1] + 1)
+    values = np.zeros(grid.n, dtype=np.complex128)
+    values[window] = envelope[window] * np.exp(1j * spec.k0 * x[window])
     values = values / math.sqrt(state_norm(grid, values))
     return from_coefficients(grid, units, kind, forward_transform(grid, values))
 

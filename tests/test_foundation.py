@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kg_lab import BandwidthError, UnitSystem, make_grid
 from kg_lab.foundation import (
@@ -41,13 +42,16 @@ def test_grid_layout_small_example():
     assert g.nyquist_index == 4
 
 
-def test_grid_wavenumber_symmetry():
-    g = make_grid(64, 50.0)
-    k = g.wavenumbers
-    for j in range(1, 32):
-        assert k[j] == -k[64 - j]
+@given(n=st.sampled_from([2**p for p in range(3, 17)]), length=st.floats(1e-3, 1e6))
+def test_grid_wavenumber_symmetry(n, length):
+    k = make_grid(n, length).wavenumbers
+    half = n // 2
+    # k_{n-j} = -k_j bit for bit, so every function even in k is mirrored exactly.
+    assert np.array_equal(k[half + 1:].view(np.uint64), (-k[half - 1:0:-1]).view(np.uint64))
     assert k[0] == 0.0
-    assert k[32] == -(2.0 * np.pi / 50.0) * 32
+    # The Nyquist mode -n/2 is the one without a +n/2 partner.
+    assert k[half] == -(2.0 * np.pi / length) * half
+    assert np.count_nonzero(np.abs(k) == np.abs(k[half])) == 1
 
 
 @pytest.mark.parametrize("n", [7, 12, 1000, 4])

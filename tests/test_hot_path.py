@@ -1,10 +1,12 @@
 """The allocation-lean hot path equals the plain expressions, bit for bit.
 
 Transforms, evolve, the derivatives and the bilinears work in the one array
-each returns, and each state lineage computes its frequencies once. These
-tests write the plain numpy expressions out (one fresh array per operation)
-and require the in-place steps to reproduce them exactly, without touching
-any input array.
+each returns, and each state lineage computes its frequencies once. The
+evolution phase is exponentiated on half the lattice and mirrored, and a
+packet's carrier is evaluated only where its envelope is nonzero. These
+tests write the plain numpy expressions out (one fresh array per operation,
+over the whole grid) and require the lean steps to reproduce them exactly,
+without touching any input array.
 """
 import math
 
@@ -25,14 +27,18 @@ from kg_lab import (
     from_coefficients,
     gaussian_packet,
     inverse_transform,
+    kg_residual,
     make_grid,
     moments,
     omega,
     spectral_derivative,
+    state_norm,
     unphysical_negative_branch,
 )
-from kg_lab import observables
+from kg_lab import observables, propagation
 from kg_lab.foundation import _twist
+from kg_lab.scenarios import run_scenario, validate_config
+from kg_lab.states import SUPPORT_SIGMAS
 
 KG = DispersionKind.KLEIN_GORDON_POSITIVE
 KINDS = [KG, unphysical_negative_branch(), DispersionKind.SCHRODINGER]
@@ -96,14 +102,16 @@ def _plain_edge_moments(rho, grid):
 @given(
     n=st.sampled_from([2**p for p in range(3, 13)]),
     length=st.floats(1.0, 1000.0),
-    m=st.sampled_from([1.0, 4.0]),
+    hbar=st.floats(0.1, 10.0),
+    c=st.floats(0.1, 10.0),
+    m=st.floats(0.1, 10.0),
     kind=st.sampled_from(KINDS),
     seed=st.integers(0, 2**32 - 1),
-    t=st.floats(0.0, 1e6),
+    t=st.floats(-1e6, 1e6),
 )
-def test_in_place_steps_equal_the_plain_expressions(n, length, m, kind, seed, t):
+def test_in_place_steps_equal_the_plain_expressions(n, length, hbar, c, m, kind, seed, t):
     grid = make_grid(n, length)
-    units = UnitSystem(hbar=1.0, c=1.0, m=m)
+    units = UnitSystem(hbar=hbar, c=c, m=m)
     state = _random_state(grid, units, kind, seed)
     coefficients = np.array(state.coefficients)  # a writable copy to pass in
     psi = _plain_inverse(n, coefficients)
@@ -120,8 +128,13 @@ def test_in_place_steps_equal_the_plain_expressions(n, length, m, kind, seed, t)
     assert _same(state.density_nonrel, psi.real**2 + psi.imag**2)
 
     omegas = omega(kind, grid.wavenumbers, units)
+    # The phase is exponentiated on modes 0..n/2 and mirrored onto the rest.
+    assert _same(propagation._phase(omegas, float(t)), np.exp(-1j * omegas * float(t)))
     result = evolve(state, t)
     evolved = coefficients * np.exp(-1j * omegas * float(t))
+    if kind is not DispersionKind.SCHRODINGER:
+        assert kg_residual(state, t) == propagation._spectral_residual(
+            evolved, omegas, grid.wavenumbers, units)
     assert _same(result.state.coefficients, evolved)
     assert _same(result.state.omegas, omegas)
     dpsi_dt = _plain_inverse(n, -1j * omegas * evolved)
@@ -156,18 +169,59 @@ def test_in_place_steps_equal_the_plain_expressions(n, length, m, kind, seed, t)
         assert _same(before, after)
 
 
-def test_a_kg_sweep_op_computes_omega_once(monkeypatch):
+@st.composite
+def _packets(draw):
+    """A packet and its grid: far inside a wide box, or at the support rule's edge."""
+    n = draw(st.sampled_from([2**p for p in range(8, 13)] + [2**16]))
+    length = draw(st.floats(1.0, 1e4))
+    dx = length / n
+    if draw(st.booleans()):
+        # The box is wider than 120 sigma, so the envelope underflows to 0.0
+        # more than 55 sigma from the center.
+        sigma = dx * draw(st.floats(2.0, n / 120.0))
+        x0 = draw(st.floats(-1.0, 1.0)) * (0.5 * length - 1.01 * SUPPORT_SIGMAS * sigma)
+    else:
+        # |x0| + SUPPORT_SIGMAS sigma just inside L/2: the envelope is about
+        # NYQUIST_TOLERANCE at the nearer end of the grid.
+        reach = 0.5 * length * (1.0 - draw(st.floats(1e-12, 1e-3)))
+        sigma = dx * draw(st.floats(2.0, reach / (SUPPORT_SIGMAS * dx)))
+        x0 = draw(st.sampled_from([-1.0, 1.0])) * max(0.0, reach - SUPPORT_SIGMAS * sigma)
+    # Five spectral widths inside the bandwidth keep the Nyquist mode empty.
+    k0 = draw(st.floats(-1.0, 1.0)) * (math.pi / dx - 5.0 / sigma)
+    return PacketSpec(x0, k0, sigma), make_grid(n, length)
+
+
+@given(packet=_packets(), kind=st.sampled_from(KINDS))
+def test_a_packet_evaluates_its_carrier_only_where_the_envelope_is_nonzero(packet, kind):
+    spec, grid = packet
+    units = UnitSystem.natural()
+    x = grid.points
+    envelope = (2.0 * math.pi * spec.sigma**2) ** -0.25 \
+        * np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
+    values = envelope * np.exp(1j * spec.k0 * x)
+    values = values / math.sqrt(state_norm(grid, values))
+    state = gaussian_packet(spec, grid, units, kind)
+    assert _same(state.coefficients, forward_transform(grid, values))
+
+
+def _count_omega_calls(monkeypatch):
+    """Record (kind, is_scalar) for each omega call, in every module that holds it."""
     calls = []
     plain = kg_lab.dispersion.omega
 
     def counting(*args):
-        calls.append(args[0])
+        calls.append((args[0], np.ndim(args[1]) == 0))
         return plain(*args)
 
     for module in (kg_lab, kg_lab.dispersion, kg_lab.states, kg_lab.propagation,
-                   kg_lab.observables):
+                   kg_lab.observables, kg_lab.scenarios):
         if hasattr(module, "omega"):
             monkeypatch.setattr(module, "omega", counting)
+    return calls
+
+
+def test_a_kg_sweep_op_computes_omega_once(monkeypatch):
+    calls = _count_omega_calls(monkeypatch)
     grid, dt, t = make_grid(4096, 400.0), 1e-3, 1e4
     state = gaussian_packet(PacketSpec(10.0, 2.0, 8.0), grid, UnitSystem(1.0, 1.0, 4.0), KG)
     # One packet-sweep op: evolve, fields, the t -/+ dt snapshots, the
@@ -178,6 +232,18 @@ def test_a_kg_sweep_op_computes_omega_once(monkeypatch):
     after = compute_fields(evolve(state, t + dt)).rho_kg
     continuity_residual(before, after, fields.j_std, dt, grid)
     moments(fields.rho_kg, grid)
-    assert calls == [KG]
+    assert calls == [(KG, False)]
     assert result.state.omegas is state.omegas
     assert evolve(result.state, -t).state.omegas is state.omegas
+
+
+def test_a_packet_continuity_run_computes_omega_once_per_lineage(monkeypatch, tmp_path):
+    config = validate_config('{"scenario": "packet-continuity"}',
+                             output_override=str(tmp_path))
+    calls = _count_omega_calls(monkeypatch)
+    run_scenario(config)
+    # One state lineage: the lattice frequencies once, then every evolved
+    # state and its gamma statistics read them. The carrier's group
+    # velocity takes one frequency of its own.
+    assert [call for call in calls if not call[1]] == [(KG, False)]
+    assert [call for call in calls if call[1]] == [(KG, True)]
