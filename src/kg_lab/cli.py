@@ -44,8 +44,17 @@ def _print_run(result: RunResult) -> None:
         print(f"wrote {path}")
 
 
+def _read_config(path: str) -> str:
+    """The text of a config file; ConfigError unless it is UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = _read_config(args.config)
     config = validate_config(text, output_override=args.out, format_override=args.format)
     result = run_scenario(config)
     if not args.quiet:
@@ -60,7 +69,7 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = _read_config(args.config)
     config = validate_config(text)
     print(f"OK: {config.scenario} "
           f"(n={config.grid.n}, length={config.grid.length:g}, "

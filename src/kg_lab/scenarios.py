@@ -14,6 +14,13 @@ non-finite values are spelled NaN, Infinity and -Infinity (the negative
 branch of branch-demo writes NaN columns). JSON keys are sorted, newlines
 are '\n', and nothing time- or path-dependent is emitted beyond what the
 config itself contains.
+
+Float arrays (the fields and summary tables, and the arrays in JSON) are
+formatted by _floattext.format_rows: their digits are decided exactly in
+numpy from a double-double product, and a value too close to a rounding
+tie for that product to decide takes its digits from '%' instead, so the
+bytes are '%.17g''s either way. Python scalars are formatted by '%' (_fmt).
+The writers return bytes, which _write_text writes.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import __version__
+from ._floattext import format_rows
 from .dispersion import (
     DEFAULT_GAMMA_SPREAD_TOL,
     DispersionKind,
@@ -96,6 +104,23 @@ def _require_number(value: Any, path: str, *, integer: bool = False) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     return value
+
+
+# No scenario's schema nests deeper than 5 levels (config, state, modes, a
+# mode entry, its number). A config nested far deeper is rejected before
+# the recursive merge, or the repr in an error message, can exhaust the
+# interpreter's stack on it.
+_MAX_DEPTH = 16
+
+
+def _depth(value: Any) -> int:
+    """Levels of nesting in a parsed JSON value (a scalar is 1), found level by level."""
+    depth, level = 0, [value]
+    while level:
+        depth += 1
+        level = [item for node in level if isinstance(node, (dict, list))
+                 for item in (node.values() if isinstance(node, dict) else node)]
+    return depth
 
 
 # Paths whose user value replaces the default wholesale instead of merging
@@ -292,8 +317,12 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is not valid JSON: nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a top-level object")
+    if _depth(raw) > _MAX_DEPTH:
+        raise ConfigError(f"config: nested more than {_MAX_DEPTH} levels deep")
     name = raw.get("scenario")
     if not isinstance(name, str):
         raise ConfigError("scenario: required string field")
@@ -371,22 +400,11 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _format_floats(template: str, values: Any) -> str:
-    """Fill a template of '%.17g' slots with values in one %-operation.
-
-    '%' writes non-finite values as nan, inf and -inf (never -nan); they are
-    respelled NaN, Infinity and -Infinity here. No finite '%.17g' string
-    contains those letters, or any "n", so finite text skips the rewrite
-    and the rewrite cannot touch a number.
-    """
-    text = template % tuple(values)
-    if "n" not in text:
-        return text
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
-
-
 def _fmt(x: float) -> str:
-    return _format_floats("%.17g", (x,))
+    """One Python float as format_rows writes it: '%.17g', or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return "%.17g" % x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
 def _dumps(obj: Any, indent: int = 0) -> str:
@@ -397,7 +415,8 @@ def _dumps(obj: Any, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
-        return "[" + _format_floats(("%.17g, " * obj.size)[:-2], obj.tolist()) + "]"
+        text = format_rows(np.asarray(obj, dtype=np.float64).reshape(-1, 1), [b", "], bytearray())
+        return "[" + text[:-2].decode("ascii") + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -425,8 +444,8 @@ def _dumps(obj: Any, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write text as a new file at path, replacing whatever was there.
+def _write_text(path: Path, data: bytes) -> None:
+    """Write the bytes of a text as a new file at path, replacing whatever was there.
 
     Unlinking first means a rerun never truncates the old file in place:
     truncating blocks the previous run had flushed costs a discard and a
@@ -435,7 +454,7 @@ def _write_text(path: Path, text: str) -> None:
     its bytes, and a symlink is replaced, not followed.
     """
     path.unlink(missing_ok=True)
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -519,31 +538,31 @@ def _series_for(state: SpectralState,
     return ObservableSeries(summary=summary, field_blocks=blocks), samples
 
 
-def _fields_csv(grid: Grid1D, blocks: list[dict[str, Any]]) -> str:
-    chunks = [",".join(FIELD_COLUMNS) + "\n"]
-    row = ",%.17g" * (len(FIELD_COLUMNS) - 1) + "\n"
+def _fields_csv(grid: Grid1D, blocks: list[dict[str, Any]]) -> bytearray:
+    text = bytearray((",".join(FIELD_COLUMNS) + "\n").encode("ascii"))
+    seps = [b","] * (len(FIELD_COLUMNS) - 2) + [b"\n"]
     for block in blocks:
         table = np.column_stack([grid.points] + [block[name] for name in FIELD_COLUMNS[2:]])
-        chunks.append(_format_floats((_fmt(block["t"]) + row) * grid.n, table.ravel().tolist()))
-    return "".join(chunks)
+        format_rows(table, seps, text, prefix=(_fmt(block["t"]) + ",").encode("ascii"))
+    return text
 
 
-def _summary_csv(rows: list[dict[str, float]]) -> str:
-    row = ",".join(["%.17g"] * len(SUMMARY_COLUMNS)) + "\n"
-    values = [r[name] for r in rows for name in SUMMARY_COLUMNS]
-    return ",".join(SUMMARY_COLUMNS) + "\n" + _format_floats(row * len(rows), values)
+def _summary_csv(rows: list[dict[str, float]]) -> bytearray:
+    table = np.array([[r[name] for name in SUMMARY_COLUMNS] for r in rows], dtype=np.float64)
+    seps = [b","] * (len(SUMMARY_COLUMNS) - 1) + [b"\n"]
+    return format_rows(table, seps, bytearray((",".join(SUMMARY_COLUMNS) + "\n").encode("ascii")))
 
 
-def _fields_json(grid: Grid1D, blocks: list[dict[str, Any]]) -> str:
+def _fields_json(grid: Grid1D, blocks: list[dict[str, Any]]) -> bytes:
     payload = [
         {"t": block["t"], "x": grid.points, **{name: block[name] for name in FIELD_COLUMNS[2:]}}
         for block in blocks
     ]
-    return _dumps({"fields": payload}) + "\n"
+    return (_dumps({"fields": payload}) + "\n").encode("utf-8")
 
 
-def _summary_json(rows: list[dict[str, float]]) -> str:
-    return _dumps({"summary": rows}) + "\n"
+def _summary_json(rows: list[dict[str, float]]) -> bytes:
+    return (_dumps({"summary": rows}) + "\n").encode("utf-8")
 
 
 def _write_series(out: Path, stem: str, grid: Grid1D, series: ObservableSeries,
@@ -797,7 +816,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             "results": results,
         }
         meta_path = out / f"{config.scenario}_run.json"
-        _write_text(meta_path, _dumps(metadata) + "\n")
+        _write_text(meta_path, (_dumps(metadata) + "\n").encode("utf-8"))
         files.append(meta_path)
     except BaseException:
         for path in files:

@@ -122,25 +122,40 @@ class PacketSpec:
             )
 
 
+def _envelope(spec: PacketSpec, x: np.ndarray) -> tuple[slice, np.ndarray]:
+    """The slice of the sorted points x where the packet's Gaussian envelope
+    is nonzero, and the envelope's samples there.
+
+    exp is evaluated only within 2 sigma sqrt(746) of x0: beyond it the
+    exponent -(x-x0)^2/4 sigma^2 is -746 or less, to rounding, and exp
+    underflows to exactly 0.0 below about -745.13, so the samples there
+    are zero.
+    """
+    reach = 2.0 * spec.sigma * math.sqrt(746.0)
+    start = int(np.searchsorted(x, spec.x0 - reach))
+    near = x[start:int(np.searchsorted(x, spec.x0 + reach, side="right"))]
+    envelope = (2.0 * math.pi * spec.sigma**2) ** -0.25 \
+        * np.exp(-((near - spec.x0) ** 2) / (4.0 * spec.sigma**2))
+    support = np.flatnonzero(envelope)
+    return (slice(start + support[0], start + support[-1] + 1),
+            envelope[support[0]:support[-1] + 1])
+
+
 def gaussian_packet(spec: PacketSpec, grid: Grid1D, units: UnitSystem,
                     kind: DispersionKind) -> SpectralState:
     """Sampled Gaussian (1/(sqrt(2 pi) sigma))^{1/2} e^{-(x-x0)^2/4 sigma^2} e^{i k0 x}.
 
     The sampled profile is renormalized so the Riemann-sum norm is exactly
     one; for packets that satisfy the support rule the correction is at
-    the rounding level. The carrier e^{i k0 x} is evaluated only on the
-    window between the first and last samples where the envelope is
-    nonzero; outside it the envelope has underflowed to 0.0 and the samples
-    are zero.
+    the rounding level. The envelope is evaluated only within
+    2 sigma sqrt(746) of x0 and the carrier e^{i k0 x} only on the window
+    between the first and last samples where the envelope is nonzero;
+    outside it the envelope has underflowed to 0.0 and the samples are zero.
     """
     spec.validate_on(grid)
-    x = grid.points
-    envelope = (2.0 * math.pi * spec.sigma**2) ** -0.25 \
-        * np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
-    support = np.flatnonzero(envelope)
-    window = slice(support[0], support[-1] + 1)
+    window, envelope = _envelope(spec, grid.points)
     values = np.zeros(grid.n, dtype=np.complex128)
-    values[window] = envelope[window] * np.exp(1j * spec.k0 * x[window])
+    values[window] = envelope * np.exp(1j * spec.k0 * grid.points[window])
     values = values / math.sqrt(state_norm(grid, values))
     return from_coefficients(grid, units, kind, forward_transform(grid, values))
 

@@ -38,7 +38,7 @@ from kg_lab import (
 from kg_lab import observables, propagation
 from kg_lab.foundation import _twist
 from kg_lab.scenarios import run_scenario, validate_config
-from kg_lab.states import SUPPORT_SIGMAS
+from kg_lab.states import SUPPORT_SIGMAS, _envelope
 
 KG = DispersionKind.KLEIN_GORDON_POSITIVE
 KINDS = [KG, unphysical_negative_branch(), DispersionKind.SCHRODINGER]
@@ -202,6 +202,24 @@ def test_a_packet_evaluates_its_carrier_only_where_the_envelope_is_nonzero(packe
     values = values / math.sqrt(state_norm(grid, values))
     state = gaussian_packet(spec, grid, units, kind)
     assert _same(state.coefficients, forward_transform(grid, values))
+
+
+@given(packet=_packets())
+def test_a_packet_evaluates_its_envelope_only_where_it_can_be_nonzero(packet):
+    spec, grid = packet
+    # The packet's grid, and its center with points on both sides of the
+    # underflow edge, where (x - x0)^2 / 4 sigma^2 runs from 744 to 747.
+    edge = 2.0 * spec.sigma * np.sqrt(np.linspace(744.0, 747.0, 301))
+    for x in (grid.points, np.concatenate([spec.x0 - edge[::-1], [spec.x0], spec.x0 + edge])):
+        envelope = (2.0 * math.pi * spec.sigma**2) ** -0.25 \
+            * np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
+        support = np.flatnonzero(envelope)
+        # Every nonzero sample lies within 2 sigma sqrt(746) of the center,
+        # and the window the packet evaluates holds all of them, bit for bit.
+        assert np.all(np.abs(x[support] - spec.x0) <= 2.0 * spec.sigma * math.sqrt(746.0))
+        window, inside = _envelope(spec, x)
+        assert window == slice(support[0], support[-1] + 1)
+        assert _same(inside, envelope[window])
 
 
 def _count_omega_calls(monkeypatch):

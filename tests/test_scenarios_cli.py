@@ -390,8 +390,9 @@ def test_run_exits_2_when_the_physics_overflows(tmp_path, capsys):
 
 
 def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
+    """config is a dict, or the raw bytes of a config file."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     for argv in (["validate", str(cfg_path)],
                  ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]):
         assert main(argv) == code
@@ -401,6 +402,15 @@ def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
         assert json.loads(lines[0])["error"] == error
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    b'{"scenario": "amended", "output": "\xff\xfe"}',
+    b'{"scenario":"amended","times":' + b"[" * 100_000,
+    b'{"scenario":"amended","times":' + b"[" * 500 + b"]" * 500 + b"}",
+], ids=["not-utf-8", "nested-past-the-parser", "nested-past-the-schema"])
+def test_a_bad_config_file_exits_2_without_a_traceback(tmp_path, capsys, text):
+    _assert_validate_and_run_fail(tmp_path, capsys, text, 2, "ConfigError")
 
 
 # One catalog run evolves each sample once: the initial state to each sample

@@ -9,6 +9,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,7 +20,9 @@ from kg_lab.scenarios import (
     _dumps,
     _fields_csv,
     _fields_json,
+    _summary_json,
     run_scenario,
+    scenario_names,
     validate_config,
 )
 
@@ -51,9 +54,8 @@ def _ref_array(values):
 def _ref_fields_csv(grid, blocks):
     lines = [",".join(FIELD_COLUMNS)]
     for block in blocks:
-        for i, x in enumerate(grid.points):
-            values = [block["t"], x] + [block[name][i] for name in FIELD_COLUMNS[2:]]
-            lines.append(",".join(_ref(v) for v in values))
+        columns = [grid.points.tolist()] + [block[name].tolist() for name in FIELD_COLUMNS[2:]]
+        lines += [",".join(_ref(v) for v in (block["t"],) + row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -72,6 +74,12 @@ def _ref_summary_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def _ref_summary_json(rows):
+    records = ["    {\n" + ",\n".join(f'      "{k}": {_ref(row[k])}' for k in sorted(row)) + "\n    }"
+               for row in rows]
+    return '{\n  "summary": [\n' + ",\n".join(records) + "\n  ]\n}\n"
+
+
 @given(hnp.arrays(np.float64, st.integers(0, 40), elements=floats64))
 def test_json_array_matches_per_value_reference(values):
     assert _dumps(values) == _ref_array(values)
@@ -79,12 +87,12 @@ def test_json_array_matches_per_value_reference(values):
 
 @given(blocks_strategy)
 def test_fields_csv_matches_per_value_reference(blocks):
-    assert _fields_csv(GRID, blocks) == _ref_fields_csv(GRID, blocks)
+    assert _fields_csv(GRID, blocks).decode() == _ref_fields_csv(GRID, blocks)
 
 
 @given(blocks_strategy)
 def test_fields_json_matches_per_value_reference(blocks):
-    assert _fields_json(GRID, blocks) == _ref_fields_json(GRID, blocks)
+    assert _fields_json(GRID, blocks).decode() == _ref_fields_json(GRID, blocks)
 
 
 def test_branch_demo_negative_series_matches_per_value_reference(tmp_path):
@@ -92,8 +100,21 @@ def test_branch_demo_negative_series_matches_per_value_reference(tmp_path):
     series = run_scenario(cfg).series["negative"]
     blocks = series.field_blocks
     assert all(np.isnan(block[name]).all() for block in blocks for name in ("rho_amended", "j_amended"))
-    assert _fields_csv(cfg.grid, blocks) == _ref_fields_csv(cfg.grid, blocks)
-    assert _fields_json(cfg.grid, blocks) == _ref_fields_json(cfg.grid, blocks)
+    assert _fields_csv(cfg.grid, blocks).decode() == _ref_fields_csv(cfg.grid, blocks)
+    assert _fields_json(cfg.grid, blocks).decode() == _ref_fields_json(cfg.grid, blocks)
     summary = (tmp_path / "branch-demo_negative_summary.csv").read_text()
     assert "NaN" in summary
     assert summary == _ref_summary_csv(series.summary)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_catalog_outputs_match_per_value_reference(name, tmp_path):
+    cfg = validate_config(json.dumps({"scenario": name}), output_override=str(tmp_path))
+    result = run_scenario(cfg)
+    for label, series in result.series.items():
+        stem = name if label == "main" else f"{name}_{label}"
+        blocks, rows = series.field_blocks, series.summary
+        assert (tmp_path / f"{stem}_fields.csv").read_text() == _ref_fields_csv(cfg.grid, blocks)
+        assert (tmp_path / f"{stem}_summary.csv").read_text() == _ref_summary_csv(rows)
+        assert _fields_json(cfg.grid, blocks).decode() == _ref_fields_json(cfg.grid, blocks)
+        assert _summary_json(rows).decode() == _ref_summary_json(rows)
