@@ -1,9 +1,9 @@
 """Exact '%.17g' text of float64 tables, formed in numpy.
 
-`format_rows` appends to a bytearray, row by row, an optional prefix and
-then each value of the row followed by its column's separator. A finite
-value is written exactly as '%.17g' writes it; zeros keep their sign, and
-NaN (of either sign), inf and -inf are spelled NaN, Infinity and -Infinity.
+`format_rows` appends to a bytearray, row by row, each value of the row
+followed by its column's separator. A finite value is written exactly as
+'%.17g' writes it; zeros keep their sign, and NaN (of either sign), inf
+and -inf are spelled NaN, Infinity and -Infinity.
 
 How a value v != 0 becomes its 17 significant digits D and decimal
 exponent X (so that |v| rounds to D * 10^(X-16), 10^16 <= D < 10^17):
@@ -174,40 +174,34 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, x
 
 
-def format_rows(values: np.ndarray, seps: Sequence[bytes], out: bytearray,
-                prefix: bytes = b"") -> bytearray:
+def format_rows(values: np.ndarray, seps: Sequence[bytes], out: bytearray) -> bytearray:
     """Append the text of a 2-D float64 table to out and return out.
 
-    Each row is written as prefix, then every value followed by the
-    separator of its column (seps holds one non-empty bytes string per column).
+    Each row is written as every value followed by the separator of its
+    column (seps holds one non-empty bytes string per column).
     """
     texts = _texts()
     rows, cols = values.shape
     if rows * cols == 0:
-        out += prefix * rows
         return out
-    # A value's slots and the prefix are padded to whole 4-byte words, so
-    # that every word of a row stays aligned.
+    # A value's slots are padded to whole 4-byte words, so that every word
+    # of a row stays aligned.
     sep_len = np.array([len(s) for s in seps], dtype=np.int64)
     width = -(-(_BODY + int(sep_len.max())) // 4) * 4
     masks = _masks(width)
-    lead = -(-len(prefix) // 4) * 4
     span = max(1, _CHUNK_VALUES // cols)
-    line = lead + cols * width
 
-    # The constant bytes of every row, and the prefix's part of its mask.
-    slots = np.zeros((min(span, rows), line), dtype=np.uint8)
-    slots[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    cells = slots[:, lead:].reshape(-1, cols, width)
+    # The constant bytes of every row.
+    slots = np.zeros((min(span, rows), cols * width), dtype=np.uint8)
+    cells = slots.reshape(-1, cols, width)
     cells[:, :, _SIGN] = ord("-")
     cells[:, :, _ZEROS:_FIRST] = np.frombuffer(b"0.000", dtype=np.uint8)
     cells[:, :, _POINT] = ord(".")
     for c, sep in enumerate(seps):
         cells[:, c, _BODY:_BODY + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
-    words = slots.view(np.uint32)[:, lead // 4:].reshape(-1, cols, width // 4)
-    keep = np.zeros((min(span, rows), line), dtype=bool)
-    keep[:, :len(prefix)] = True
-    kept = keep[:, lead:].reshape(-1, cols, width)
+    words = slots.view(np.uint32).reshape(-1, cols, width // 4)
+    keep = np.zeros((min(span, rows), cols * width), dtype=bool)
+    kept = keep.reshape(-1, cols, width)
     # A column's block of mask rows, by the length of its separator.
     sep_block = (sep_len - 1) * (2 * _FORMS * 17)
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid configuration (including magnitudes that
 overflow during the run), 3 bandwidth or support violation, 4 I/O failure.
-Failures emit a one-line JSON error record on stderr so callers can parse
-the reason without scraping text.
+Failures, usage errors included, emit a one-line JSON error record on
+stderr so callers can parse the reason without scraping text.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import BandwidthError, ConfigError
 from .scenarios import (
@@ -38,8 +38,8 @@ def _print_run(result: RunResult) -> None:
     for name, series in sorted(result.series.items()):
         label = "" if name == "main" else f" [{name}]"
         print("  " + " ".join(SUMMARY_COLUMNS) + label)
-        for row in series.summary:
-            print("  " + " ".join(format(row[c], ".6g") for c in SUMMARY_COLUMNS))
+        for row in series.summary.tolist():
+            print("  " + " ".join(format(v, ".6g") for v in row))
     for path in result.files:
         print(f"wrote {path}")
 
@@ -77,8 +77,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that main
+    reports them like any invalid configuration; its subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kg-lab",
         description="Spectral wave-packet laboratory: run shipped scenarios from JSON configs.",
     )
@@ -102,9 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # A FloatingPointError means the config's magnitudes overflow the physics.
     except (ConfigError, FloatingPointError) as exc:

@@ -15,6 +15,13 @@ branch of branch-demo writes NaN columns). JSON keys are sorted, newlines
 are '\n', and nothing time- or path-dependent is emitted beyond what the
 config itself contains.
 
+Each evolved state's observables are two float64 tables:
+run_scenario(config).series[label] holds .fields, of shape
+(len(times), n, len(FIELD_COLUMNS)), and .summary, of shape
+(len(times), len(SUMMARY_COLUMNS)), with columns in FIELD_COLUMNS and
+SUMMARY_COLUMNS order. CSV writes every row of a table as one line (_csv);
+JSON writes one record per sample time (_json).
+
 Float arrays (the fields and summary tables, and the arrays in JSON) are
 formatted by _floattext.format_rows: their digits are decided exactly in
 numpy from a double-double product, and a value too close to a rounding
@@ -462,10 +469,15 @@ def _write_text(path: Path, data: bytes) -> None:
 
 @dataclass(frozen=True)
 class ObservableSeries:
-    """Per-time summary records and field blocks for one evolved state."""
+    """One evolved state's observables at each sample time, as float64 tables.
 
-    summary: list[dict[str, float]]
-    field_blocks: list[dict[str, Any]]
+    fields[i, :, c] is column FIELD_COLUMNS[c] on the grid at times[i] (its
+    't' column holds times[i]), and summary[i, c] is SUMMARY_COLUMNS[c] at
+    times[i].
+    """
+
+    fields: np.ndarray
+    summary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -489,7 +501,7 @@ class _Sample:
 
 def _series_for(state: SpectralState,
                 config: ScenarioConfig) -> tuple[ObservableSeries, list[_Sample]]:
-    """Evolve to each sample time and collect summary rows and field blocks.
+    """Evolve to each sample time and fill the series' fields and summary tables.
 
     Each sample's fields at t and t -/+ dt are returned too, so that runners
     read them rather than evolving again. The t -/+ dt snapshots are the
@@ -501,8 +513,10 @@ def _series_for(state: SpectralState,
     """
     grid, dt = config.grid, config.dt_continuity
     rho_pair_name = "rho_kg" if state.kind is not DispersionKind.SCHRODINGER else "rho_nonrel"
-    summary, blocks, samples = [], [], []
-    for t in config.times:
+    table = np.empty((len(config.times), grid.n, len(FIELD_COLUMNS)))
+    summary = np.empty((len(config.times), len(SUMMARY_COLUMNS)))
+    samples = []
+    for i, t in enumerate(config.times):
         result = evolve(state, t)
         fields = compute_fields(result, spread_tol=config.gamma_spread_tol)
         before = compute_fields(evolve(result.state, -dt))
@@ -513,68 +527,37 @@ def _series_for(state: SpectralState,
             else fields.rho_nonrel
         mom = moments(mom_rho, grid)
         imin = int(np.argmin(fields.rho_kg))
-        summary.append({
-            "t": t,
-            "norm": state_norm(grid, result.state.values),
-            "centroid": mom.centroid,
-            "variance": mom.variance,
-            "gamma_bar": fields.gamma_bar,
-            "gamma_spread": fields.gamma_spread,
-            "continuity_residual": residual,
-            "min_rho_kg": float(fields.rho_kg[imin]),
-            "argmin_x": float(grid.points[imin]),
-        })
-        blocks.append({
-            "t": t,
-            "re_psi": result.state.values.real,
-            "im_psi": result.state.values.imag,
-            "rho_nonrel": fields.rho_nonrel,
-            "rho_kg": fields.rho_kg,
-            "rho_amended": fields.rho_amended,
-            "j_std": fields.j_std,
-            "j_amended": fields.j_amended,
-        })
+        summary[i] = (t, state_norm(grid, result.state.values), mom.centroid, mom.variance,
+                      fields.gamma_bar, fields.gamma_spread, residual, fields.rho_kg[imin],
+                      grid.points[imin])
+        for c, column in enumerate((t, grid.points, result.state.values.real,
+                                    result.state.values.imag, fields.rho_nonrel, fields.rho_kg,
+                                    fields.rho_amended, fields.j_std, fields.j_amended)):
+            table[i, :, c] = column
         samples.append(_Sample(t, fields, before, after))
-    return ObservableSeries(summary=summary, field_blocks=blocks), samples
+    return ObservableSeries(fields=table, summary=summary), samples
 
 
-def _fields_csv(grid: Grid1D, blocks: list[dict[str, Any]]) -> bytearray:
-    text = bytearray((",".join(FIELD_COLUMNS) + "\n").encode("ascii"))
-    seps = [b","] * (len(FIELD_COLUMNS) - 2) + [b"\n"]
-    for block in blocks:
-        table = np.column_stack([grid.points] + [block[name] for name in FIELD_COLUMNS[2:]])
-        format_rows(table, seps, text, prefix=(_fmt(block["t"]) + ",").encode("ascii"))
-    return text
+def _csv(table: np.ndarray, columns: tuple[str, ...]) -> bytearray:
+    """A table as CSV: the column names, then one line per row of its last axis."""
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    return format_rows(table.reshape(-1, len(columns)), seps,
+                       bytearray((",".join(columns) + "\n").encode("ascii")))
 
 
-def _summary_csv(rows: list[dict[str, float]]) -> bytearray:
-    table = np.array([[r[name] for name in SUMMARY_COLUMNS] for r in rows], dtype=np.float64)
-    seps = [b","] * (len(SUMMARY_COLUMNS) - 1) + [b"\n"]
-    return format_rows(table, seps, bytearray((",".join(SUMMARY_COLUMNS) + "\n").encode("ascii")))
+def _json(key: str, records: list[dict[str, Any]]) -> bytes:
+    return (_dumps({key: records}) + "\n").encode("utf-8")
 
 
-def _fields_json(grid: Grid1D, blocks: list[dict[str, Any]]) -> bytes:
-    payload = [
-        {"t": block["t"], "x": grid.points, **{name: block[name] for name in FIELD_COLUMNS[2:]}}
-        for block in blocks
-    ]
-    return (_dumps({"fields": payload}) + "\n").encode("utf-8")
-
-
-def _summary_json(rows: list[dict[str, float]]) -> bytes:
-    return (_dumps({"summary": rows}) + "\n").encode("utf-8")
-
-
-def _write_series(out: Path, stem: str, grid: Grid1D, series: ObservableSeries,
-                  fmt: str, written: list[Path]) -> None:
-    """Write a series' fields and summary files, appending each to written."""
-    fields_text, summary_text = (_fields_csv, _summary_csv) if fmt == "csv" \
-        else (_fields_json, _summary_json)
-    fields_path, summary_path = out / f"{stem}_fields.{fmt}", out / f"{stem}_summary.{fmt}"
-    _write_text(fields_path, fields_text(grid, series.field_blocks))
-    written.append(fields_path)
-    _write_text(summary_path, summary_text(series.summary))
-    written.append(summary_path)
+def _series_texts(series: ObservableSeries, fmt: str) -> dict[str, bytes]:
+    """The text of a series' fields and summary files, in file order."""
+    if fmt == "csv":
+        return {"fields": _csv(series.fields, FIELD_COLUMNS),
+                "summary": _csv(series.summary, SUMMARY_COLUMNS)}
+    fields = [{"t": block[0, 0], **dict(zip(FIELD_COLUMNS[1:], block.T[1:]))}
+              for block in series.fields]
+    summary = [dict(zip(SUMMARY_COLUMNS, row)) for row in series.summary.tolist()]
+    return {"fields": _json("fields", fields), "summary": _json("summary", summary)}
 
 
 # What a runner returns: the series to write (keyed "main", or by branch
@@ -612,12 +595,13 @@ def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
     derived["group_velocity_carrier"] = group_velocity(_KG_PLUS, config.packet.k0, config.units)
     dt, grid = config.dt_continuity, config.grid
+    conserved = series["main"].summary[:, SUMMARY_COLUMNS.index("continuity_residual")]
     rows = [{
         "t": s.t,
-        "residual_conserved": row["continuity_residual"],
+        "residual_conserved": residual,
         "residual_amended": continuity_residual(
             s.before.rho_amended, s.after.rho_amended, s.fields.j_amended, dt, grid),
-    } for s, row in zip(samples, series["main"].summary)]
+    } for s, residual in zip(samples, conserved.tolist())]
     return series, derived, {
         "continuity": rows,
         "max_residual_conserved": max(r["residual_conserved"] for r in rows),
@@ -806,7 +790,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     try:
         for label, ser in series.items():
             stem = config.scenario if label == "main" else f"{config.scenario}_{label}"
-            _write_series(out, stem, config.grid, ser, config.fmt, files)
+            for name, text in _series_texts(ser, config.fmt).items():
+                path = out / f"{stem}_{name}.{config.fmt}"
+                _write_text(path, text)
+                files.append(path)
 
         metadata = {
             "scenario": config.scenario,

@@ -26,12 +26,11 @@ def _ref(x):
     return "%.17g" % x
 
 
-def _check(values, cols=1, seps=(b", ",), prefix=b""):
+def _check(values, cols=1, seps=(b", ",)):
     table = np.asarray(values, dtype=np.float64).reshape(-1, cols)
-    text = format_rows(table, seps, bytearray(b"head\n"), prefix)
+    text = format_rows(table, seps, bytearray(b"head\n"))
     expected = "head\n" + "".join(
-        prefix.decode() + "".join(_ref(v) + sep.decode() for v, sep in zip(row, seps))
-        for row in table.tolist())
+        "".join(_ref(v) + sep.decode() for v, sep in zip(row, seps)) for row in table.tolist())
     assert text.decode() == expected
 
 
@@ -44,12 +43,11 @@ def _around(values, ulps=1):
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
-       st.sampled_from([(b", ",), (b",", b"\n"), (b",", b",", b"\r\n")]),
-       st.sampled_from([b"", b"0,", b"-1.2345678901234567e-300,"]))
-def test_raw_bit_patterns_match_percent_17g(bits, seps, prefix):
+       st.sampled_from([(b", ",), (b",", b"\n"), (b",", b",", b"\r\n")]))
+def test_raw_bit_patterns_match_percent_17g(bits, seps):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     values = values[:values.size - values.size % len(seps)]
-    _check(values, len(seps), seps, prefix)
+    _check(values, len(seps), seps)
 
 
 def _carried(x):
@@ -72,7 +70,7 @@ def test_sweep_of_the_vector_path_edges_matches_percent_17g():
     # The sweep reaches the carry: values whose 17 digits round up to 10^X.
     assert sum(_carried(x) for x in values.tolist()) >= 10
     _check(values)
-    _check(values[:values.size - values.size % 3], 3, (b",", b",", b"\n"), b"7,")
+    _check(values[:values.size - values.size % 3], 3, (b",", b",", b"\n"))
 
 
 def _near_ties():

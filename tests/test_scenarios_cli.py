@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kg_lab import BandwidthError, ConfigError
+from kg_lab import (BandwidthError, ConfigError, compute_fields, continuity_residual, evolve,
+                    moments, state_norm)
 from kg_lab.cli import main
 import kg_lab.scenarios
 from kg_lab.scenarios import (
@@ -178,6 +179,32 @@ def test_run_writes_expected_files(tmp_path):
     assert set(meta["derived"]) == {"dt_continuity", "gamma_bar", "gamma_spread",
                                     "gamma_spread_flag"}
     assert meta["results"]["density_vs_gamma"][0]["max_rel_deviation"] < 1e-2
+
+
+def test_series_columns_hold_the_named_observables(tmp_path):
+    # Each column of the tables, by its name, against the observable it names.
+    cfg = validate_config(_config_text("gamma-density", **SMALL),
+                          output_override=str(tmp_path))
+    series = run_scenario(cfg).series["main"]
+    grid, dt = cfg.grid, cfg.dt_continuity
+    for i, t in enumerate(cfg.times):
+        result = evolve(cfg.state, t)
+        psi = result.state.values
+        f = compute_fields(result, spread_tol=cfg.gamma_spread_tol)
+        columns = {"t": t, "x": grid.points, "re_psi": psi.real, "im_psi": psi.imag,
+                   "rho_nonrel": f.rho_nonrel, "rho_kg": f.rho_kg, "rho_amended": f.rho_amended,
+                   "j_std": f.j_std, "j_amended": f.j_amended}
+        for c, name in enumerate(FIELD_COLUMNS):
+            assert np.array_equal(series.fields[i, :, c], np.broadcast_to(columns[name], grid.n))
+        before, after = (compute_fields(evolve(result.state, step)).rho_kg for step in (-dt, dt))
+        mom = moments(f.rho_kg, grid)
+        imin = int(np.argmin(f.rho_kg))
+        scalars = {"t": t, "norm": state_norm(grid, psi), "centroid": mom.centroid,
+                   "variance": mom.variance, "gamma_bar": f.gamma_bar,
+                   "gamma_spread": f.gamma_spread,
+                   "continuity_residual": continuity_residual(before, after, f.j_std, dt, grid),
+                   "min_rho_kg": f.rho_kg[imin], "argmin_x": grid.points[imin]}
+        assert series.summary[i].tolist() == [scalars[name] for name in SUMMARY_COLUMNS]
 
 
 def test_run_json_format(tmp_path):
@@ -495,6 +522,31 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 4
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "cfg.json", "--out", "x"],
+    [],
+    ["run"],
+    ["run", "cfg.json", "--format", "xml"],
+    ["bogus"],
+], ids=["unknown-option", "no-command", "no-config", "bad-format", "unknown-command"])
+def test_usage_errors_exit_2_with_one_json_record(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("kg-lab")
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: kg-lab" in capsys.readouterr().out
 
 
 def test_cli_format_override(tmp_path, capsys):

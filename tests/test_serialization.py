@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kg_lab import make_grid
 from kg_lab.scenarios import (
     FIELD_COLUMNS,
     SUMMARY_COLUMNS,
+    ObservableSeries,
+    _csv,
     _dumps,
-    _fields_csv,
-    _fields_json,
-    _summary_json,
+    _series_texts,
     run_scenario,
     scenario_names,
     validate_config,
@@ -31,11 +30,25 @@ _EDGE_VALUES = [
     5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max,
 ]
 floats64 = st.one_of(st.floats(width=64), st.sampled_from(_EDGE_VALUES))
-GRID = make_grid(8, 3.0)
-blocks_strategy = st.lists(
-    st.tuples(floats64, hnp.arrays(np.float64, (len(FIELD_COLUMNS) - 2, GRID.n), elements=floats64)),
-    min_size=1, max_size=3,
-).map(lambda drawn: [{"t": t, **dict(zip(FIELD_COLUMNS[2:], cols))} for t, cols in drawn])
+GRID_N = 8
+
+
+def _table(columns, times):
+    """A random table of `times` samples: fields blocks on the grid, or summary rows."""
+    shape = (times, GRID_N, len(columns)) if columns is FIELD_COLUMNS else (times, len(columns))
+    return hnp.arrays(np.float64, shape, elements=floats64)
+
+
+def _with_block_times(fields):
+    fields[:, :, 0] = fields[:, :1, 0]  # a fields block holds one sample time
+    return fields
+
+
+tables = st.tuples(st.sampled_from([FIELD_COLUMNS, SUMMARY_COLUMNS]), st.integers(1, 3)).flatmap(
+    lambda drawn: st.tuples(st.just(drawn[0]), _table(*drawn)))
+series_strategy = st.integers(1, 3).flatmap(
+    lambda times: st.builds(ObservableSeries, _table(FIELD_COLUMNS, times).map(_with_block_times),
+                            _table(SUMMARY_COLUMNS, times)))
 
 
 def _ref(x):
@@ -51,33 +64,35 @@ def _ref_array(values):
     return "[" + ", ".join(_ref(v) for v in values) + "]"
 
 
-def _ref_fields_csv(grid, blocks):
-    lines = [",".join(FIELD_COLUMNS)]
-    for block in blocks:
-        columns = [grid.points.tolist()] + [block[name].tolist() for name in FIELD_COLUMNS[2:]]
-        lines += [",".join(_ref(v) for v in (block["t"],) + row) for row in zip(*columns)]
+def _ref_csv(table, columns):
+    lines = [",".join(columns)]
+    lines += [",".join(_ref(v) for v in table[at]) for at in np.ndindex(table.shape[:-1])]
     return "\n".join(lines) + "\n"
 
 
-def _ref_fields_json(grid, blocks):
+def _ref_fields_json(fields):
     records = []
-    for block in blocks:
-        cols = {"t": _ref(block["t"]), "x": _ref_array(grid.points),
-                **{name: _ref_array(block[name]) for name in FIELD_COLUMNS[2:]}}
+    for block in fields:
+        cols = {"t": _ref(block[0, 0]),
+                **{name: _ref_array(block[:, c]) for c, name in enumerate(FIELD_COLUMNS) if c}}
         records.append("    {\n" + ",\n".join(f'      "{k}": {cols[k]}' for k in sorted(cols)) + "\n    }")
     return '{\n  "fields": [\n' + ",\n".join(records) + "\n  ]\n}\n"
 
 
-def _ref_summary_csv(rows):
-    lines = [",".join(SUMMARY_COLUMNS)]
-    lines += [",".join(_ref(row[name]) for name in SUMMARY_COLUMNS) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _ref_summary_json(rows):
-    records = ["    {\n" + ",\n".join(f'      "{k}": {_ref(row[k])}' for k in sorted(row)) + "\n    }"
-               for row in rows]
+def _ref_summary_json(summary):
+    records = []
+    for row in summary:
+        cols = dict(zip(SUMMARY_COLUMNS, row))
+        records.append("    {\n" + ",\n".join(f'      "{k}": {_ref(cols[k])}' for k in sorted(cols))
+                       + "\n    }")
     return '{\n  "summary": [\n' + ",\n".join(records) + "\n  ]\n}\n"
+
+
+def _assert_json_matches(series):
+    texts = _series_texts(series, "json")
+    assert list(texts) == ["fields", "summary"]
+    assert texts["fields"].decode() == _ref_fields_json(series.fields)
+    assert texts["summary"].decode() == _ref_summary_json(series.summary)
 
 
 @given(hnp.arrays(np.float64, st.integers(0, 40), elements=floats64))
@@ -85,26 +100,28 @@ def test_json_array_matches_per_value_reference(values):
     assert _dumps(values) == _ref_array(values)
 
 
-@given(blocks_strategy)
-def test_fields_csv_matches_per_value_reference(blocks):
-    assert _fields_csv(GRID, blocks).decode() == _ref_fields_csv(GRID, blocks)
+@given(tables)
+def test_csv_matches_per_value_reference(drawn):
+    columns, table = drawn
+    assert _csv(table, columns).decode() == _ref_csv(table, columns)
 
 
-@given(blocks_strategy)
-def test_fields_json_matches_per_value_reference(blocks):
-    assert _fields_json(GRID, blocks).decode() == _ref_fields_json(GRID, blocks)
+@given(series_strategy)
+def test_series_json_matches_per_value_reference(series):
+    _assert_json_matches(series)
 
 
 def test_branch_demo_negative_series_matches_per_value_reference(tmp_path):
     cfg = validate_config(json.dumps({"scenario": "branch-demo"}), output_override=str(tmp_path))
     series = run_scenario(cfg).series["negative"]
-    blocks = series.field_blocks
-    assert all(np.isnan(block[name]).all() for block in blocks for name in ("rho_amended", "j_amended"))
-    assert _fields_csv(cfg.grid, blocks).decode() == _ref_fields_csv(cfg.grid, blocks)
-    assert _fields_json(cfg.grid, blocks).decode() == _ref_fields_json(cfg.grid, blocks)
+    amended = [FIELD_COLUMNS.index(name) for name in ("rho_amended", "j_amended")]
+    assert np.isnan(series.fields[:, :, amended]).all()
+    fields = (tmp_path / "branch-demo_negative_fields.csv").read_text()
+    assert fields == _ref_csv(series.fields, FIELD_COLUMNS)
     summary = (tmp_path / "branch-demo_negative_summary.csv").read_text()
     assert "NaN" in summary
-    assert summary == _ref_summary_csv(series.summary)
+    assert summary == _ref_csv(series.summary, SUMMARY_COLUMNS)
+    _assert_json_matches(series)
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -113,8 +130,14 @@ def test_catalog_outputs_match_per_value_reference(name, tmp_path):
     result = run_scenario(cfg)
     for label, series in result.series.items():
         stem = name if label == "main" else f"{name}_{label}"
-        blocks, rows = series.field_blocks, series.summary
-        assert (tmp_path / f"{stem}_fields.csv").read_text() == _ref_fields_csv(cfg.grid, blocks)
-        assert (tmp_path / f"{stem}_summary.csv").read_text() == _ref_summary_csv(rows)
-        assert _fields_json(cfg.grid, blocks).decode() == _ref_fields_json(cfg.grid, blocks)
-        assert _summary_json(rows).decode() == _ref_summary_json(rows)
+        fields, summary = series.fields, series.summary
+        assert fields.dtype == summary.dtype == np.float64
+        assert fields.shape == (len(cfg.times), cfg.grid.n, len(FIELD_COLUMNS))
+        assert summary.shape == (len(cfg.times), len(SUMMARY_COLUMNS))
+        # Each block holds its sample time and the grid; the summary, the times.
+        assert (fields[:, :, 0] == np.array(cfg.times)[:, None]).all()
+        assert (fields[:, :, 1] == cfg.grid.points).all()
+        assert (summary[:, 0] == cfg.times).all()
+        assert (tmp_path / f"{stem}_fields.csv").read_text() == _ref_csv(fields, FIELD_COLUMNS)
+        assert (tmp_path / f"{stem}_summary.csv").read_text() == _ref_csv(summary, SUMMARY_COLUMNS)
+        _assert_json_matches(series)
