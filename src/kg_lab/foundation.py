@@ -24,6 +24,8 @@ from .errors import BandwidthError
 # Valid states must keep the unmatched -n/2 mode empty to this fraction
 # of the spectral norm; above it the state is not band-limited on this grid.
 NYQUIST_TOLERANCE = 1e-10
+# Grid1D.wavenumber_index takes k within LATTICE_TOLERANCE * (1 + |k|) of 2 pi j / L.
+LATTICE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,17 +100,17 @@ class Grid1D:
         angles = 2.0 * math.pi * (self.points + 0.5 * self.length) / self.length
         return _readonly(np.exp(1j * angles))
 
-    def wavenumber_index(self, k: float, tol: float = 1e-9) -> int:
+    def wavenumber_index(self, k: float) -> int:
         """Array position of lattice wavenumber k; BandwidthError off-lattice.
 
-        k must sit on 2*pi*j/L to within tol*(1 + |k|); the Nyquist mode
-        itself is rejected because valid states must leave it empty.
+        k must sit on 2*pi*j/L to within LATTICE_TOLERANCE*(1 + |k|); the Nyquist
+        mode itself is rejected because valid states must leave it empty.
         """
         j = int(round(k * self.length / (2.0 * math.pi)))
         if not -self.n // 2 <= j <= self.n // 2 - 1:
             raise BandwidthError(f"wavenumber {k} lies outside the resolvable lattice")
         snapped = 2.0 * math.pi * j / self.length
-        if abs(k - snapped) > tol * (1.0 + abs(k)):
+        if abs(k - snapped) > LATTICE_TOLERANCE * (1.0 + abs(k)):
             raise BandwidthError(
                 f"wavenumber {k} is off-lattice (nearest lattice value {snapped!r}); "
                 "address modes by integer index for exact placement"

@@ -46,7 +46,6 @@ from ._floattext import format_rows
 from .dispersion import (
     DEFAULT_GAMMA_SPREAD_TOL,
     DispersionKind,
-    gamma_of_state,
     group_velocity,
     omega,
     unphysical_negative_branch,
@@ -63,7 +62,7 @@ from .observables import (
     superposition_density,
     two_mode_min_density,
 )
-from .propagation import evolve
+from .propagation import EvolutionResult, evolve
 from .states import (ModeSet, PacketSpec, SpectralState, from_coefficients, gaussian_packet,
                      rest_phase_strip, superposition)
 
@@ -506,23 +505,21 @@ def _series_for(state: SpectralState,
     Each sample's fields at t and t -/+ dt are returned too, so that runners
     read them rather than evolving again. The t -/+ dt snapshots are the
     sample state evolved by -/+ dt, so the rounding of t -/+ dt never enters
-    their phase. Moments are taken on the
-    conserved density for the positive branch and on psi*psi otherwise (the
-    conserved density need not be a positive measure off the physical
-    branch).
+    their phase. The state is a run's KG+ initial state or, in branch-demo,
+    its KG- twin: the residual pairs the conserved density with the standard
+    current, and moments are taken on the conserved density for KG+ and on
+    psi*psi for KG- (where the conserved density need not be positive).
     """
     grid, dt = config.grid, config.dt_continuity
-    rho_pair_name = "rho_kg" if state.kind is not DispersionKind.SCHRODINGER else "rho_nonrel"
     table = np.empty((len(config.times), grid.n, len(FIELD_COLUMNS)))
     summary = np.empty((len(config.times), len(SUMMARY_COLUMNS)))
     samples = []
     for i, t in enumerate(config.times):
         result = evolve(state, t)
-        fields = compute_fields(result, spread_tol=config.gamma_spread_tol)
+        fields = compute_fields(result)
         before = compute_fields(evolve(result.state, -dt))
         after = compute_fields(evolve(result.state, dt))
-        residual = continuity_residual(getattr(before, rho_pair_name),
-                                       getattr(after, rho_pair_name), fields.j_std, dt, grid)
+        residual = continuity_residual(before.rho_kg, after.rho_kg, fields.j_std, dt, grid)
         mom_rho = fields.rho_kg if state.kind is DispersionKind.KLEIN_GORDON_POSITIVE \
             else fields.rho_nonrel
         mom = moments(mom_rho, grid)
@@ -570,11 +567,11 @@ def _main_series(state: SpectralState, config: ScenarioConfig
                  ) -> tuple[dict[str, ObservableSeries], dict[str, Any], list[_Sample]]:
     """The frame of a one-state scenario: its series, gamma statistics and samples."""
     main, samples = _series_for(state, config)
-    stats = gamma_of_state(state)
+    fields = compute_fields(EvolutionResult(state), spread_tol=config.gamma_spread_tol)
     derived = {
-        "gamma_bar": stats.gamma_bar,
-        "gamma_spread": stats.gamma_spread,
-        "gamma_spread_flag": stats.relative_spread > config.gamma_spread_tol,
+        "gamma_bar": fields.gamma_bar,
+        "gamma_spread": fields.gamma_spread,
+        "gamma_spread_flag": fields.gamma_spread_flag,
     }
     return {"main": main}, derived, samples
 

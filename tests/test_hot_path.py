@@ -24,7 +24,6 @@ from kg_lab import (
     density_kg,
     evolve,
     forward_transform,
-    from_coefficients,
     gaussian_packet,
     inverse_transform,
     kg_residual,
@@ -33,15 +32,12 @@ from kg_lab import (
     omega,
     spectral_derivative,
     state_norm,
-    unphysical_negative_branch,
 )
 from kg_lab import observables, propagation
 from kg_lab.foundation import _twist
 from kg_lab.scenarios import run_scenario, validate_config
-from kg_lab.states import SUPPORT_SIGMAS, _envelope
-
-KG = DispersionKind.KLEIN_GORDON_POSITIVE
-KINDS = [KG, unphysical_negative_branch(), DispersionKind.SCHRODINGER]
+from kg_lab.states import _envelope
+from strategies import KG, KINDS, packets, states
 
 
 def _bits(a):
@@ -51,14 +47,6 @@ def _bits(a):
 
 def _same(a, b):
     return np.array_equal(_bits(a), _bits(b))
-
-
-def _random_state(grid, units, kind, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    a[grid.nyquist_index] = 0.0
-    a /= math.sqrt(grid.length * np.vdot(a, a).real)
-    return from_coefficients(grid, units, kind, a)
 
 
 # The parent's expressions, one fresh array per operation.
@@ -99,20 +87,9 @@ def _plain_edge_moments(rho, grid):
     return mass * grid.dx, centroid, float(np.sum(weights * disp**2))
 
 
-@given(
-    n=st.sampled_from([2**p for p in range(3, 13)]),
-    length=st.floats(1.0, 1000.0),
-    hbar=st.floats(0.1, 10.0),
-    c=st.floats(0.1, 10.0),
-    m=st.floats(0.1, 10.0),
-    kind=st.sampled_from(KINDS),
-    seed=st.integers(0, 2**32 - 1),
-    t=st.floats(-1e6, 1e6),
-)
-def test_in_place_steps_equal_the_plain_expressions(n, length, hbar, c, m, kind, seed, t):
-    grid = make_grid(n, length)
-    units = UnitSystem(hbar=hbar, c=c, m=m)
-    state = _random_state(grid, units, kind, seed)
+@given(state=states(band=1.0), t=st.floats(-1e6, 1e6))
+def test_in_place_steps_equal_the_plain_expressions(state, t):
+    grid, units, kind, n = state.grid, state.units, state.kind, state.grid.n
     coefficients = np.array(state.coefficients)  # a writable copy to pass in
     psi = _plain_inverse(n, coefficients)
     real = np.ascontiguousarray(psi.real)
@@ -169,29 +146,11 @@ def test_in_place_steps_equal_the_plain_expressions(n, length, hbar, c, m, kind,
         assert _same(before, after)
 
 
-@st.composite
-def _packets(draw):
-    """A packet and its grid: far inside a wide box, or at the support rule's edge."""
-    n = draw(st.sampled_from([2**p for p in range(8, 13)] + [2**16]))
-    length = draw(st.floats(1.0, 1e4))
-    dx = length / n
-    if draw(st.booleans()):
-        # The box is wider than 120 sigma, so the envelope underflows to 0.0
-        # more than 55 sigma from the center.
-        sigma = dx * draw(st.floats(2.0, n / 120.0))
-        x0 = draw(st.floats(-1.0, 1.0)) * (0.5 * length - 1.01 * SUPPORT_SIGMAS * sigma)
-    else:
-        # |x0| + SUPPORT_SIGMAS sigma just inside L/2: the envelope is about
-        # NYQUIST_TOLERANCE at the nearer end of the grid.
-        reach = 0.5 * length * (1.0 - draw(st.floats(1e-12, 1e-3)))
-        sigma = dx * draw(st.floats(2.0, reach / (SUPPORT_SIGMAS * dx)))
-        x0 = draw(st.sampled_from([-1.0, 1.0])) * max(0.0, reach - SUPPORT_SIGMAS * sigma)
-    # Five spectral widths inside the bandwidth keep the Nyquist mode empty.
-    k0 = draw(st.floats(-1.0, 1.0)) * (math.pi / dx - 5.0 / sigma)
-    return PacketSpec(x0, k0, sigma), make_grid(n, length)
+# Packets also on a grid far beyond L2, at n = 2^16.
+BIG_PACKETS = packets(tuple(2**p for p in range(8, 13)) + (2**16,))
 
 
-@given(packet=_packets(), kind=st.sampled_from(KINDS))
+@given(packet=BIG_PACKETS, kind=st.sampled_from(KINDS))
 def test_a_packet_evaluates_its_carrier_only_where_the_envelope_is_nonzero(packet, kind):
     spec, grid = packet
     units = UnitSystem.natural()
@@ -204,7 +163,7 @@ def test_a_packet_evaluates_its_carrier_only_where_the_envelope_is_nonzero(packe
     assert _same(state.coefficients, forward_transform(grid, values))
 
 
-@given(packet=_packets())
+@given(packet=BIG_PACKETS)
 def test_a_packet_evaluates_its_envelope_only_where_it_can_be_nonzero(packet):
     spec, grid = packet
     # The packet's grid, and its center with points on both sides of the

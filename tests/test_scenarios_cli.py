@@ -180,6 +180,15 @@ def test_run_writes_expected_files(tmp_path):
                                     "gamma_spread_flag"}
     assert meta["results"]["density_vs_gamma"][0]["max_rel_deviation"] < 1e-2
 
+    # The default packet's relative gamma spread is about 0.003: the flag is
+    # raised against a tolerance below it and not against the default 0.01.
+    for tol, flag in ((0.01, False), (1e-9, True)):
+        out = tmp_path / f"tol-{tol}"
+        run_scenario(validate_config(_config_text("gamma-density", gamma_spread_tol=tol),
+                                     output_override=str(out)))
+        meta = json.loads((out / "gamma-density_run.json").read_text())
+        assert meta["derived"]["gamma_spread_flag"] is flag
+
 
 def test_series_columns_hold_the_named_observables(tmp_path):
     # Each column of the tables, by its name, against the observable it names.

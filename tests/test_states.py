@@ -1,9 +1,10 @@
 import dataclasses
+import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
-from hypothesis.extra import numpy as hnp
+from hypothesis import given, strategies as st
 
 from kg_lab import (
     BandwidthError,
@@ -22,8 +23,14 @@ from kg_lab import (
 )
 from kg_lab.foundation import check_bandwidth, forward_transform, state_norm
 from kg_lab.states import SUPPORT_SIGMAS, PacketSpec
+from strategies import KG, grids, kinds, laws, packets, states, times, units
 
-KG = DispersionKind.KLEIN_GORDON_POSITIVE
+# The rule tests sit a relative margin inside (-1) or outside (+1) of the
+# rule's boundary, on grids wide enough for a packet of sigma >= 2 dx.
+margins = st.floats(1e-9, 1e-2)
+sides = st.sampled_from([-1.0, 1.0])
+RULE_GRIDS = grids(tuple(2**p for p in range(8, 13)))
+NATURAL = UnitSystem.natural()
 
 
 def test_packet_spec_validation():
@@ -35,60 +42,54 @@ def test_packet_spec_validation():
         PacketSpec(float("nan"), 1.0, 1.0)
 
 
-def test_packet_support_rule(natural, grid400):
-    # |x0| + 9.6 sigma must fit inside the half box.
+@laws
+@given(RULE_GRIDS, st.floats(0.2, 1.0), margins, sides)
+def test_packet_support_rule(grid, share, margin, side):
+    # |x0| + 9.6 sigma must fit inside the half box. A packet that reaches a
+    # margin short of the seam builds; one that reaches past it is rejected
+    # before the band-limit check, which its seam tail would fail.
     assert SUPPORT_SIGMAS == pytest.approx(9.597, abs=1e-3)
-    with pytest.raises(BandwidthError):
-        gaussian_packet(PacketSpec(150.0, 0.0, 10.0), grid400, natural, KG)
-    with pytest.raises(BandwidthError):
-        gaussian_packet(PacketSpec(0.0, 0.0, 21.0), grid400, natural, KG)
-    gaussian_packet(PacketSpec(100.0, 0.0, 10.0), grid400, natural, KG)
+    reach = 0.5 * grid.length * (1.0 + side * margin)
+    sigma = share * reach / SUPPORT_SIGMAS
+    spec = PacketSpec(-side * (reach - SUPPORT_SIGMAS * sigma), 0.0, sigma)
+    with pytest.raises(BandwidthError, match="packet support") if side > 0 else nullcontext():
+        gaussian_packet(spec, grid, NATURAL, KG)
 
 
-def test_packet_seam_tail_still_gated(natural, grid400):
-    # A packet hugging the seam leaves a wrap discontinuity whose spectral
-    # tail reaches the Nyquist line. Under the old |x0| + 6 sigma rule this
-    # one was admitted and failed the band-limit check; the envelope rule
-    # now rejects it first.
-    with pytest.raises(BandwidthError, match="packet support"):
-        gaussian_packet(PacketSpec(100.0, 0.0, 16.0), grid400, natural, KG)
+@laws
+@given(RULE_GRIDS, st.floats(0.1, 1.0), margins, sides)
+def test_packet_bandwidth_rule(grid, share, margin, side):
+    # |k0| + 2/sigma must stay below the grid bandwidth pi n / L.
+    reach = np.pi * grid.n / grid.length * (1.0 + side * margin)
+    sigma = 2.0 / (share * reach)
+    spec = PacketSpec(0.0, side * (reach - 2.0 / sigma), sigma)
+    with pytest.raises(BandwidthError, match="spectral support") if side > 0 else nullcontext():
+        spec.validate_on(grid)
 
 
-def test_packet_bandwidth_rule(natural):
-    grid = make_grid(256, 100.0)
-    k_max = np.pi * 256 / 100.0
-    with pytest.raises(BandwidthError):
-        gaussian_packet(PacketSpec(0.0, k_max, 5.0), grid, natural, KG)
-    gaussian_packet(PacketSpec(0.0, 0.5 * k_max, 5.0), grid, natural, KG)
-
-
-def test_packet_norm_and_moments(natural, grid400):
-    state = gaussian_packet(PacketSpec(0.0, 5.0, 10.0), grid400, natural, KG)
-    assert abs(state_norm(grid400, state.values) - 1.0) <= 1e-10
-    m = moments(state.density_nonrel, grid400)
-    assert abs(m.centroid) <= grid400.dx / 10.0
-    assert abs(m.variance - 100.0) <= 1e-6 * 100.0
-
-
-def test_packet_off_grid_center(natural, grid400):
-    state = gaussian_packet(PacketSpec(1.237, 2.0, 8.0), grid400, natural, KG)
-    m = moments(state.density_nonrel, grid400)
-    assert abs(m.centroid - 1.237) <= grid400.dx
-
-
-def test_packet_spectrum_centered_on_carrier(natural, grid400):
-    state = gaussian_packet(PacketSpec(0.0, 5.0, 10.0), grid400, natural, KG)
+@laws
+@given(packets())
+def test_packet_norm_and_moments(packet):
+    # Unit norm, centroid x0 and variance sigma^2; spectral center k0 and
+    # spectral width 1 / (2 sigma).
+    spec, grid = packet
+    state = gaussian_packet(spec, grid, NATURAL, KG)
+    assert abs(state_norm(grid, state.values) - 1.0) <= 1e-10
+    m = moments(state.density_nonrel, grid)
+    assert abs(m.centroid - spec.x0) <= grid.dx / 10.0
+    assert abs(m.variance - spec.sigma**2) <= 1e-6 * spec.sigma**2
     w = np.abs(state.coefficients) ** 2
-    k = grid400.wavenumbers
+    k = grid.wavenumbers
     k_mean = np.sum(w * k) / np.sum(w)
     k_spread = np.sqrt(np.sum(w * (k - k_mean) ** 2) / np.sum(w))
-    assert abs(k_mean - 5.0) <= 1e-6 * 5.0
-    # Position width sigma maps to spectral width 1 / (2 sigma).
-    assert abs(k_spread - 0.05) <= 0.01 * 0.05
+    width = 0.5 / spec.sigma
+    assert abs(k_mean - spec.k0) <= 1e-6 * max(abs(spec.k0), width)
+    assert abs(k_spread - width) <= 0.01 * width
 
 
 def test_state_arrays_immutable(natural, grid400):
     state = gaussian_packet(PacketSpec(0.0, 3.0, 10.0), grid400, natural, KG)
+    assert state.values is state.values  # derived once, then kept
     with pytest.raises(ValueError):
         state.values[0] = 0.0
     with pytest.raises(ValueError):
@@ -120,28 +121,6 @@ def test_state_rejects_non_finite_coefficients(natural, bad):
         check_bandwidth(grid, coeffs)
 
 
-@st.composite
-def band_limited_coefficients(draw):
-    n = draw(st.sampled_from([8, 16, 64, 256]))
-    length = draw(st.floats(0.5, 1e3))
-    parts = hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
-    coeffs = draw(parts) + 1j * draw(parts)
-    coeffs[n // 2] = 0.0  # the Nyquist mode stays empty
-    total = np.sqrt(length * np.sum(np.abs(coeffs) ** 2))
-    assume(total > 1e-100)
-    return make_grid(n, length), coeffs / total
-
-
-@given(band_limited_coefficients())
-def test_values_transform_back_to_coefficients(problem):
-    grid, coeffs = problem
-    state = from_coefficients(grid, UnitSystem.natural(), KG, coeffs)
-    residual = np.linalg.norm(forward_transform(grid, state.values) - state.coefficients)
-    assert residual <= 1e-12 * np.linalg.norm(state.coefficients)
-    assert state.values is state.values
-    assert not state.values.flags.writeable
-
-
 def test_state_rejects_nyquist_weight(natural):
     grid = make_grid(64, 20.0)
     coeffs = np.zeros(64, dtype=complex)
@@ -162,13 +141,17 @@ def test_mode_set_validation():
     np.testing.assert_allclose(ms.wavenumbers, [0.0, 2.0])
 
 
-def test_single_mode_superposition_is_uniform(natural):
-    grid = make_grid(128, 50.0)
-    k = grid.wavenumbers[5]
-    state = superposition(ModeSet([(1.0, k)]), grid, natural, KG)
-    np.testing.assert_allclose(state.density_nonrel, 1.0 / 50.0, rtol=1e-12)
-    assert abs(state.coefficients[5] - 1.0 / np.sqrt(50.0)) <= 1e-14
-    assert np.count_nonzero(np.abs(state.coefficients) > 1e-15) == 1
+@laws
+@given(grids(), units, kinds, st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi))
+def test_single_mode_superposition_is_uniform(grid, u, kind, fraction, phase):
+    # A lattice mode a e^{i k_j x} is the one coefficient a / sqrt(L) at j mod n.
+    j = int(fraction * (grid.n // 2 - 1)) % grid.n
+    amp = complex(math.cos(phase), math.sin(phase))
+    state = superposition(ModeSet([(amp, grid.wavenumbers[j])]), grid, u, kind)
+    expected = np.zeros(grid.n, dtype=complex)
+    expected[j] = amp / math.sqrt(grid.length)
+    assert np.array_equal(state.coefficients, expected)
+    np.testing.assert_allclose(state.density_nonrel, 1.0 / grid.length, rtol=1e-12)
 
 
 def test_two_mode_superposition_beats(natural):
@@ -193,22 +176,22 @@ def test_superposition_rejects_nyquist(natural):
         superposition(ModeSet([(1.0, k_nyq)]), grid, natural, KG)
 
 
-def test_rest_phase_strip(natural, grid400):
-    state = gaussian_packet(PacketSpec(0.0, 1.0, 15.0), grid400, natural, KG)
+@laws
+@given(states(st.just(KG)), times)
+def test_rest_phase_strip(state, t):
     # At t = 0 stripping is the identity.
-    same = rest_phase_strip(state)
-    np.testing.assert_array_equal(same.values, state.values)
+    np.testing.assert_array_equal(rest_phase_strip(state).values, state.values)
 
-    evolved = evolve(state, 3.0).state
+    evolved = evolve(state, t).state
     stripped = rest_phase_strip(evolved)
-    phase = np.exp(1j * natural.rest_omega * 3.0)
+    phase = np.exp(1j * state.units.rest_omega * t)
     np.testing.assert_allclose(stripped.values, evolved.values * phase, rtol=1e-14)
     assert stripped.time == evolved.time
     # Transform consistency survives the global phase.
     residual = np.linalg.norm(
-        forward_transform(grid400, stripped.values) - stripped.coefficients
+        forward_transform(state.grid, stripped.values) - stripped.coefficients
     )
-    assert residual <= 1e-12
+    assert residual <= 1e-12 * np.linalg.norm(stripped.coefficients)
 
 
 def test_rest_phase_strip_rejects_other_kinds(natural, grid400):
