@@ -21,21 +21,33 @@ exponent X (so that |v| rounds to D * 10^(X-16), 10^16 <= D < 10^17):
   '%.17g' forms; a D of 10^17 is carried into the exponent.
 - Any other value (an exact tie is one) is undecided, and '%.16e' % v
   gives its digits and exponent instead, one value at a time.
+Zeros, infinities and NaN take the digits of a stand-in 1.0 and are then
+given their own notation.
 
-The text is then assembled in fixed byte slots per value: the sign,
-"0.000", the 17 digits, ".", the 17 digits again, a left-justified
-exponent ("e-05" up to "e+308") and the separator. A keep-mask per
-value, taken from a table indexed by the separator's length, the sign, the
-notation (fixed with its exponent, or scientific) and the count of
-significant digits, selects the bytes '%.17g' writes: the digits before
-the point come from the first copy, those after it from the second. One
-np.compress per chunk of rows turns the slots into text.
+The text is then assembled in a fixed slot of _WIDTH bytes per value, laid
+out so that the bytes '%.17g' writes form as few runs as possible:
+
+- a prefix word: the sign, the notation and the first digit of D,
+  right-aligned ("-d.", "-0.00d", "d", "NaN", "-Infinit");
+- the other 16 digits of D, as four 4-digit groups;
+- a tail word: the exponent and the separator ("e-05,") in scientific
+  notation, the separator alone in fixed notation ("y," after "Infinit");
+  for fixed notation its last byte holds the point;
+- a second copy of the 16 digits and a second separator, which only fixed
+  notation with X >= 1 keeps: the digits before its point come from the
+  first copy, those after it from the second.
+
+A value of 17 significant digits is then one run of kept bytes, unless it
+is fixed with X >= 1 and has digits after the point (three runs); one of
+fewer digits ends in a run of its own for the separator. A keep-mask per
+value, taken from a table indexed by the separator's length, the notation,
+the sign and the count of significant digits, selects those bytes, and one
+boolean index per chunk of rows copies them, run by run, into the text.
 
 The tables are built on first use, not at import.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -45,34 +57,42 @@ import numpy as np
 # double-double error is under 5e-15, and the fraction's own under 2^-53.
 _MARGIN = 1e-9
 
-# Byte offsets of a value's slots. Digit i of the first copy sits at
-# _FIRST + i and digit i >= 1 of the second at _SECOND + i, where _SECOND
-# holds the point; the digit groups and the exponent's first four bytes are
-# 4-byte aligned so that each is written as one uint32. _BODY is where the
-# separator starts; the bytes between slots are never kept.
-_SIGN, _ZEROS, _FIRST, _POINT, _EXP, _BODY = 1, 2, 7, 27, 44, 49
-_SECOND = _POINT
+# Byte offsets in a value's slot: the prefix word, the first digit copy,
+# the tail word (its last byte, _POINT, is the point of fixed notation),
+# the second digit copy and the second separator, each written as one item.
+_PREFIX, _FIRST, _TAIL, _SECOND, _SEP2, _WIDTH = 0, 8, 24, 32, 48, 56
+_POINT = _SECOND - 1
+_SLOT = np.dtype({"names": ["prefix", "first", "tail", "second", "sep2"],
+                  "formats": ["<u8", "V16", "<u8", "V16", "<u4"],
+                  "offsets": [_PREFIX, _FIRST, _TAIL, _SECOND, _SEP2], "itemsize": _WIDTH})
+# The tail word holds up to 5 exponent bytes ("e-308") and the separator.
+_MAX_SEP = 3
+
+_EXP_MIN, _EXP_MAX = -324, 308  # the decimal exponents of nonzero doubles
+# A value's row in the tables indexed by exponent: X - _EXP_MIN, or one of
+# the rows past the exponents for the values spelled out.
+_ZERO, _INF, _NAN = (_EXP_MAX - _EXP_MIN + 1 + i for i in range(3))
+_ROWS = _NAN + 1
 
 # Notation of a value, the middle index of a mask table: 0..20 fixed
 # notation with exponent X = form - 4, then scientific notation with a two-
-# or three-digit exponent, then the fixed spellings.
-_SCI2, _SCI3, _ZERO, _INF, _NAN = 21, 22, 23, 24, 25
+# or three-digit exponent, then the spelled-out values.
+_SCI2, _SCI3, _FORM_ZERO, _FORM_INF, _FORM_NAN = 21, 22, 23, 24, 25
 _FORMS = 26
-_SPELLINGS = {_ZERO: b"0", _INF: b"Infinity", _NAN: b"NaN"}
 
 # Values per chunk: a few hundred kB of slots and masks, which stay in cache.
 _CHUNK_VALUES = 8192
 
 _J_MIN, _J_MAX = -293, 341  # the 10^j that 16 - X reaches, X off by one included
-_EXP_MIN, _EXP_MAX = -324, 308  # the decimal exponents of nonzero doubles
 
 
 @lru_cache(maxsize=None)
-def _powers() -> tuple[np.ndarray, ...]:
-    """10^j = (hi + lo) * 2^F for j in [_J_MIN, _J_MAX], with hi split for Dekker."""
+def _powers() -> tuple[np.ndarray, np.ndarray]:
+    """10^j = (hi + lo) * 2^F for j in [_J_MIN, _J_MAX]: rows (hi, hi_hi, hi_lo, lo),
+    hi split for Dekker, and the exponents F."""
     from fractions import Fraction
 
-    rows = []
+    rows, shifts = [], []
     for j in range(_J_MIN, _J_MAX + 1):
         if j >= 0:
             exact, shift = Fraction(10**j), (10**j).bit_length() - 1
@@ -83,8 +103,11 @@ def _powers() -> tuple[np.ndarray, ...]:
         lo = float(m - Fraction(hi))
         c = 134217729.0 * hi
         hi_hi = c - (c - hi)
-        rows.append((hi, hi_hi, hi - hi_hi, lo, shift))
-    return tuple(_readonly(np.array(col)) for col in zip(*rows))
+        rows.append((hi, hi_hi, hi - hi_hi, lo))
+        shifts.append(shift)
+    # One row per j, so that one take gathers all four; int32 exponents, for
+    # which np.ldexp is several times faster than for int64.
+    return _readonly(np.array(rows)), _readonly(np.array(shifts, dtype=np.int32))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -92,59 +115,102 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _form(row: int) -> int:
+    """The notation of a value's row."""
+    if row >= _ZERO:
+        return _FORM_ZERO + row - _ZERO
+    x = row + _EXP_MIN
+    if -4 <= x <= 16:
+        return x + 4
+    return _SCI3 if abs(x) >= 100 else _SCI2
+
+
+def _prefix(neg: int, form: int, first: int) -> bytes:
+    """The prefix text, up to the point that follows a first digit in X = 0 and
+    scientific notation (the masks drop that point where no digit follows)."""
+    spelled = {_FORM_ZERO: b"0", _FORM_INF: b"Infinit", _FORM_NAN: b"NaN"}
+    if form == _FORM_NAN:
+        return spelled[form]
+    sign = b"-" if neg else b""
+    if form in spelled:
+        return sign + spelled[form]
+    digit = b"%d" % first
+    if form < 4:  # 0.000d: X in -4..-1
+        return sign + b"0." + b"0" * (3 - form) + digit
+    return sign + digit + (b"" if 4 < form < _SCI2 else b".")
+
+
+def _tail(form: int, x: int) -> bytes:
+    """The tail word's text before the separator."""
+    if form in (_SCI2, _SCI3):
+        return b"e%+03d" % x
+    return b"y" if form == _FORM_INF else b""
+
+
 @lru_cache(maxsize=None)
-def _masks(width: int) -> np.ndarray:
-    """Keep-masks for every (separator length, sign, form, significant digits)."""
-    masks = np.zeros((width - _BODY, 2, _FORMS, 17, width), dtype=bool)
-    for sep in range(1, width - _BODY + 1):
-        for neg in (0, 1):
-            for form in range(_FORMS):
+def _masks() -> np.ndarray:
+    """Keep-masks for every (separator length, form, sign, significant digits)."""
+    masks = np.zeros((_MAX_SEP, _FORMS, 2, 17, _WIDTH), dtype=bool)
+    for sep in range(1, _MAX_SEP + 1):
+        for form in range(_FORMS):
+            tail = len(_tail(form, 100 if form == _SCI3 else 10))
+            for neg in (0, 1):
+                prefix = len(_prefix(neg, form, 1))
                 for k in range(1, 18):
-                    row = masks[sep - 1, neg, form, k - 1]
-                    row[_BODY:_BODY + sep] = True
-                    row[_SIGN] = neg and form != _NAN
-                    if form in _SPELLINGS:
-                        row[_FIRST:_FIRST + len(_SPELLINGS[form])] = True
-                        continue
-                    if form >= _SCI2:
-                        point = 1
-                        row[_EXP:_EXP + (4 if form == _SCI2 else 5)] = True
-                    elif form < 4:  # 0.000ddd: X in -4..-1, no point among the digits
-                        point = 17
-                        row[_ZEROS:_ZEROS + 1 - (form - 4)] = True
+                    row = masks[sep - 1, form, neg, k - 1]
+                    # A point ends the prefix only where a digit follows it.
+                    row[_FIRST - prefix:_FIRST - (k == 1 and form in (4, _SCI2, _SCI3))] = True
+                    if form >= _FORM_ZERO:
+                        digits = 0
+                    elif 4 < form < _SCI2:  # X >= 1: the X digits before the point
+                        digits = form - 4
                     else:
-                        point = form - 3  # X + 1 digits before the point
-                    row[_FIRST:_FIRST + (k if form < 4 else point)] = True
-                    if k > point:
+                        digits = k - 1
+                    row[_FIRST:_FIRST + digits] = True
+                    if 4 < form < _SCI2 and k > digits + 1:  # digits after the point
                         row[_POINT] = True
-                        row[_SECOND + point:_SECOND + k] = True
-    return _readonly(masks.reshape(-1, width))
+                        row[_SECOND + digits:_SECOND + k - 1] = True
+                        row[_SEP2:_SEP2 + sep] = True
+                    else:
+                        row[_TAIL:_TAIL + tail + sep] = True
+    return _readonly(masks.reshape(-1, _WIDTH))
 
 
 @lru_cache(maxsize=None)
 def _texts() -> dict[str, np.ndarray]:
-    """Tables that depend on nothing: digit groups, their trailing zeros, exponent texts."""
-    exps = [(b"e%+03d" % x).ljust(5) for x in range(_EXP_MIN, _EXP_MAX + 1)]
+    """Tables that depend on no separator: the text of a 4-digit group and, for
+    each of the four groups of D, the place of its last nonzero digit among
+    the 16 (0 for a zero group); the prefix words; and per row the notation,
+    the tail word before the separator and the separator's shift in it."""
+    forms = [_form(row) for row in range(_ROWS)]
+    tails = [_tail(form, row + _EXP_MIN) for row, form in enumerate(forms)]
+    points = [b"" if form in (_SCI2, _SCI3) else b"." for form in forms]
     return {
         "groups": np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), dtype=np.uint32),
-        "trailing": _readonly(np.array([4] + [len(s) - len(s.rstrip("0"))
-                                              for s in ("%04d" % g for g in range(1, 10000))])),
-        "exps": np.frombuffer(b"".join(e[:4] for e in exps), dtype=np.uint32),
-        "exp_last": np.frombuffer(b"".join(e[4:] for e in exps), dtype=np.uint8),
+        "last": _readonly(np.array([[0] + [4 * i + len(("%04d" % g).rstrip("0"))
+                                          for g in range(1, 10000)] for i in range(4)])),
+        "prefixes": np.frombuffer(b"".join(
+            _prefix(neg, form, first).rjust(8, b"\0")
+            for form in range(_FORMS) for neg in (0, 1) for first in range(10)), dtype="<u8"),
+        "forms": _readonly(np.array(forms)),
+        "tails": np.frombuffer(b"".join((t.ljust(7, b"\0") + p).ljust(8, b"\0")
+                                        for t, p in zip(tails, points)), dtype="<u8"),
+        "shifts": _readonly(np.array([8 * len(t) for t in tails], dtype="<u8")),
     }
 
 
 def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|v| * 10^(16 - X) as the double-double p + q."""
-    hi, hi_hi, hi_lo, lo, shift = _powers()
+    table, shifts = _powers()
     j = 16 - _J_MIN - x
-    vs = np.ldexp(a, shift[j])
-    p = vs * hi[j]
+    vs = np.ldexp(a, shifts.take(j))
+    hi, hi_hi, hi_lo, lo = table.take(j, axis=0).T
+    p = vs * hi
     c = vs * 134217729.0
     vh = c - (c - vs)
     vl = vs - vh
-    err = ((vh * hi_hi[j] - p) + vh * hi_lo[j] + vl * hi_hi[j]) + vl * hi_lo[j]
-    return p, err + vs * lo[j]
+    err = ((vh * hi_hi - p) + vh * hi_lo + vl * hi_hi) + vl * hi_lo
+    return p, err + vs * lo
 
 
 def _undecided(values: np.ndarray) -> tuple[list[int], list[int]]:
@@ -157,20 +223,24 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D and X of finite positive values: |v| rounds to D * 10^(X-16), 10^16 <= D < 10^17."""
     x = np.floor(np.log10(a)).astype(np.int64)
     p, q = _scaled(a, x)
-    step = ((p - 1e17) + q >= 0).astype(np.int64) - ((p - 1e16) + q < 0)
-    off = np.flatnonzero(step)
-    if off.size:
-        x[off] += step[off]
-        p[off], q[off] = _scaled(a[off], x[off])
-    whole = np.floor(q)
-    frac = q - whole
-    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    open_ = np.flatnonzero(np.abs(frac - 0.5) <= _MARGIN)
+    # Only where p lies within 64 of 10^16 or 10^17, or beyond, can S need
+    # another X or carry to 10^17 (|q| is under 20).
+    edge = np.flatnonzero(np.abs(p - 5.5e16) >= 4.5e16 - 64)
+    if edge.size:
+        p_e, q_e = p.take(edge), q.take(edge)
+        x_e = x.take(edge) + ((p_e - 1e17) + q_e >= 0) - ((p_e - 1e16) + q_e < 0)
+        x[edge] = x_e
+        p[edge], q[edge] = _scaled(a.take(edge), x_e)
+    whole = np.rint(q)
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    open_ = np.flatnonzero(np.abs(q - whole) >= 0.5 - _MARGIN)
     if open_.size:
-        d[open_], x[open_] = _undecided(a[open_])
-    carry = d == 10**17
-    d[carry] = 10**16
-    x += carry
+        d[open_], x[open_] = _undecided(a.take(open_))
+    if edge.size:
+        carry = edge[d.take(edge) == 10**17]
+        d[carry] = 10**16
+        x[carry] += 1
     return d, x
 
 
@@ -178,81 +248,71 @@ def format_rows(values: np.ndarray, seps: Sequence[bytes], out: bytearray) -> by
     """Append the text of a 2-D float64 table to out and return out.
 
     Each row is written as every value followed by the separator of its
-    column (seps holds one non-empty bytes string per column).
+    column: seps holds one bytes string of 1 to 3 bytes per column.
     """
-    texts = _texts()
     rows, cols = values.shape
+    if len(seps) != cols:
+        raise ValueError(f"{len(seps)} separators for {cols} columns")
+    if not all(1 <= len(sep) <= _MAX_SEP for sep in seps):
+        raise ValueError(f"separators must be 1 to {_MAX_SEP} bytes: {list(seps)!r}")
     if rows * cols == 0:
         return out
-    # A value's slots are padded to whole 4-byte words, so that every word
-    # of a row stays aligned.
-    sep_len = np.array([len(s) for s in seps], dtype=np.int64)
-    width = -(-(_BODY + int(sep_len.max())) // 4) * 4
-    masks = _masks(width)
+    texts = _texts()
+    groups, last, forms = texts["groups"], texts["last"], texts["forms"]
+    masks, prefixes = _masks(), texts["prefixes"]
     span = max(1, _CHUNK_VALUES // cols)
 
-    # The constant bytes of every row.
-    slots = np.zeros((min(span, rows), cols * width), dtype=np.uint8)
-    cells = slots.reshape(-1, cols, width)
-    cells[:, :, _SIGN] = ord("-")
-    cells[:, :, _ZEROS:_FIRST] = np.frombuffer(b"0.000", dtype=np.uint8)
-    cells[:, :, _POINT] = ord(".")
-    for c, sep in enumerate(seps):
-        cells[:, c, _BODY:_BODY + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
-    words = slots.view(np.uint32).reshape(-1, cols, width // 4)
-    keep = np.zeros((min(span, rows), cols * width), dtype=bool)
-    kept = keep.reshape(-1, cols, width)
-    # A column's block of mask rows, by the length of its separator.
-    sep_block = (sep_len - 1) * (2 * _FORMS * 17)
+    # Each column's tail words, and its block of mask rows.
+    sep_words = np.array([int.from_bytes(sep, "little") for sep in seps], dtype="<u8")
+    tails = (texts["tails"] | (sep_words[:, None] << texts["shifts"])).reshape(-1)
+    tail_at = np.arange(cols) * _ROWS
+    sep_block = (np.array([len(sep) for sep in seps]) - 1) * (2 * _FORMS * 17)
+
+    # The second separators are the only constant bytes of a slot.
+    slots = np.zeros((min(span, rows), cols * _WIDTH), dtype=np.uint8)
+    cells = slots.view(_SLOT).reshape(-1, cols)
+    cells["sep2"] = sep_words
+    digits = np.empty((min(span, rows) * cols, 4), dtype=np.uint32)
+    keep = np.zeros((min(span, rows), cols * _WIDTH), dtype=bool)
 
     for start in range(0, rows, span):
         v = values[start:start + span]
         n = v.shape[0]
         v = v.reshape(-1)
         a = np.abs(v)
-        regular = (a > 0) & (a < math.inf)
-        special = np.flatnonzero(~regular)
-        if not special.size:
-            d, x = _digits(a)
-        else:  # zeros, infinities and NaN: D = 0 and X = 0, respelled below
-            d, x = np.zeros(a.size, dtype=np.int64), np.zeros(a.size, dtype=np.int64)
-            at = np.flatnonzero(regular)
-            d[at], x[at] = _digits(a[at])
-        form = np.where((x < -4) | (x > 16), np.where((x <= -100) | (x >= 100), _SCI3, _SCI2),
-                        x + 4)
-
-        # D as its first digit and four groups of four, and its count k of
-        # significant digits (1 for D = 0).
-        top, low = np.divmod(d, 10**8)
-        first, high = np.divmod(top, 10**8)
-        groups = [*np.divmod(high, 10**4), *np.divmod(low, 10**4)]
-        trailing = texts["trailing"]
-        tz = trailing[groups[3]]
-        zero = groups[3] == 0
-        for group in groups[2::-1]:
-            tz += zero * trailing[group]
-            zero &= group == 0
-        k = 17 - tz
-
-        cell, word = cells[:n], words[:n]
-        cell[:, :, _FIRST] = (first + ord("0")).reshape(n, cols)
-        for i, group in enumerate(groups):
-            text = texts["groups"].take(group).reshape(n, cols)
-            word[:, :, _FIRST // 4 + 1 + i] = text
-            word[:, :, _SECOND // 4 + 1 + i] = text
-        x_at = x - _EXP_MIN
-        word[:, :, _EXP // 4] = texts["exps"].take(x_at).reshape(n, cols)
-        cell[:, :, _EXP + 4] = texts["exp_last"].take(x_at).reshape(n, cols)
-
-        if special.size:
+        special = np.flatnonzero(~((a > 0) & (a < np.inf)))
+        if special.size:  # zeros, infinities and NaN: the digits of 1.0, respelled below
             a_s = a[special]
-            form[special] = np.where(a_s == 0, _ZERO, np.where(a_s == math.inf, _INF, _NAN))
-            for f, spelled in _SPELLINGS.items():
-                at = special[form[special] == f]
-                cell[at // cols, at % cols, _FIRST:_FIRST + len(spelled)] = \
-                    np.frombuffer(spelled, dtype=np.uint8)
+            a[special] = 1.0
+        d, x = _digits(a)
+        row = x - _EXP_MIN
+        if special.size:
+            row[special] = np.where(a_s == 0, _ZERO, np.where(a_s == np.inf, _INF, _NAN))
 
-        cls = (np.signbit(v) * _FORMS + form) * 17 + (k - 1)
-        kept[:n] = masks.take(cls.reshape(n, cols) + sep_block, axis=0)
-        out += np.compress(keep[:n].reshape(-1), slots[:n].reshape(-1)).data
+        # D as its first digit and four groups of four, and the count of its
+        # significant digits after the first.
+        top = d // 10**8
+        low = d - top * 10**8
+        first = top // 10**8
+        high = top - first * 10**8
+        g0, g2 = high // 10**4, low // 10**4
+        text = digits[:n * cols]
+        after = last[0].take(g0)
+        for i, group in enumerate((g0, high - g0 * 10**4, g2, low - g2 * 10**4)):
+            text[:, i] = groups.take(group)
+            if i:
+                np.maximum(after, last[i].take(group), out=after)
+
+        cell = cells[:n]
+        cls = forms.take(row) * 2 + np.signbit(v)
+        cell["prefix"] = prefixes.take(cls * 10 + first).reshape(n, cols)
+        cell["first"] = cell["second"] = text.view("V16").reshape(n, cols)
+        cell["tail"] = tails.take(row.reshape(n, cols) + tail_at)
+
+        cls *= 17
+        cls += after
+        # Every index is in range; mode "raise" would copy through a buffer.
+        masks.take(cls.reshape(n, cols) + sep_block, axis=0,
+                   out=keep[:n].reshape(n, cols, -1), mode="clip")
+        out += slots[:n].reshape(-1)[keep[:n].reshape(-1)].data
     return out

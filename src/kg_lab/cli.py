@@ -1,7 +1,8 @@
 """Command line front end: kg-lab run | scenarios | validate.
 
 Exit codes: 0 success, 2 invalid configuration (including magnitudes that
-overflow during the run), 3 bandwidth or support violation, 4 I/O failure.
+overflow during the run and arrays too large for the memory the process may
+use), 3 bandwidth or support violation, 4 I/O failure.
 Failures, usage errors included, emit a one-line JSON error record on
 stderr so callers can parse the reason without scraping text.
 """
@@ -29,7 +30,9 @@ EXIT_IO = 4
 
 
 def _error_record(exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc)}
+    # numpy raises its own subclass of MemoryError; the record names the builtin.
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    record = {"error": name, "message": str(exc)}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
@@ -113,8 +116,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    # A FloatingPointError means the config's magnitudes overflow the physics.
-    except (ConfigError, FloatingPointError) as exc:
+    # A FloatingPointError means the config's magnitudes overflow the physics,
+    # a MemoryError that its arrays do not fit in memory.
+    except (ConfigError, FloatingPointError, MemoryError) as exc:
         _error_record(exc)
         return EXIT_CONFIG
     except BandwidthError as exc:

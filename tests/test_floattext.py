@@ -2,17 +2,20 @@
 
 The reference formats one value at a time with '%.17g' and spells
 non-finite values NaN, Infinity and -Infinity. Raw bit patterns reach every
-exponent, sign and payload; the sweep pins the places where the vector path
-changes course (powers of ten and two, subnormals, the switch between fixed
-and scientific notation, the carry to 10^17); the near ties are the values
-the vector path must hand to '%'.
+exponent, sign and payload, under arbitrary separators; tables of several
+chunks reuse the slot buffer from chunk to chunk, with every notation in
+any cell; the sweep pins the places where the vector path changes course
+(powers of ten and two, subnormals, the switch between fixed and scientific
+notation, the carry to 10^17); the near ties are the values the vector path
+must hand to '%'.
 """
 import math
 import sys
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from kg_lab import _floattext
 from kg_lab._floattext import format_rows
@@ -29,9 +32,9 @@ def _ref(x):
 def _check(values, cols=1, seps=(b", ",)):
     table = np.asarray(values, dtype=np.float64).reshape(-1, cols)
     text = format_rows(table, seps, bytearray(b"head\n"))
-    expected = "head\n" + "".join(
-        "".join(_ref(v) + sep.decode() for v, sep in zip(row, seps)) for row in table.tolist())
-    assert text.decode() == expected
+    expected = b"head\n" + b"".join(
+        b"".join(_ref(v).encode() + sep for v, sep in zip(row, seps)) for row in table.tolist())
+    assert text == expected
 
 
 def _around(values, ulps=1):
@@ -42,12 +45,64 @@ def _around(values, ulps=1):
     return np.concatenate(out)
 
 
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
-       st.sampled_from([(b", ",), (b",", b"\n"), (b",", b",", b"\r\n")]))
+# Any separator format_rows accepts: 1 to 3 bytes, NUL included.
+separators = st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=9)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), separators)
 def test_raw_bit_patterns_match_percent_17g(bits, seps):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     values = values[:values.size - values.size % len(seps)]
     _check(values, len(seps), seps)
+
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+
+
+@st.composite
+def long_tables(draw):
+    """A table of at least three chunks, one more partial, and its separators.
+
+    Each value has 1 to 17 significant digits and an exponent X in -4..16
+    (fixed notation) three times in four, in -300..299 otherwise; drawn
+    cells hold zeros, infinities and NaN.
+    """
+    seps = draw(separators)
+    cols = len(seps)
+    rows = -(-3 * _floattext._CHUNK_VALUES // cols) + draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = rows * cols
+    k = rng.integers(1, 18, size)
+    digits = rng.integers(10 ** (k - 1), 10**k)
+    x = np.where(rng.random(size) < 0.75, rng.integers(-4, 17, size),
+                 rng.integers(-300, 300, size))
+    sign = np.where(rng.random(size) < 0.5, "-", "")
+    values = np.array([f"{s}{m}e{e}" for s, m, e in zip(sign, digits.tolist(),
+                                                      (x - k + 1).tolist())], dtype=np.float64)
+    for cell, special in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                                 st.sampled_from(SPECIALS)), max_size=40)):
+        values[cell] = special
+    return values.reshape(rows, cols), seps
+
+
+@settings(max_examples=10, deadline=None)
+@given(long_tables())
+def test_tables_of_several_chunks_match_percent_17g(table):
+    values, seps = table
+    assert values.size >= 3 * _floattext._CHUNK_VALUES
+    _check(values, len(seps), seps)
+
+
+def test_separators_are_checked():
+    table = np.ones((2, 2))
+    with pytest.raises(ValueError):
+        format_rows(table, [b","], bytearray())
+    with pytest.raises(ValueError):
+        format_rows(table, [b",", b",", b"\n"], bytearray())
+    for bad in (b"", b",,,,"):
+        with pytest.raises(ValueError):
+            format_rows(table, [b",", bad], bytearray())
+    assert format_rows(table, [b",", b"; \n"], bytearray()) == b"1,1; \n1,1; \n"
 
 
 def _carried(x):

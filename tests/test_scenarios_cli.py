@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -423,6 +424,55 @@ def test_run_exits_2_when_the_physics_overflows(tmp_path, capsys):
     assert record["message"].startswith("scenario 'gamma-density', stage runner: overflow")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def _limit_address_space():
+    """Let the child map at most 1.5 GB, so that an oversized array fails to
+    allocate instead of being allocated for real."""
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+def test_a_config_too_large_for_memory_exits_2_and_writes_nothing(tmp_path):
+    # The grid alone needs 2 GiB per array.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "gamma-density",
+                                    "grid": {"n": 2**28, "length": 4e6}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(kg_lab.__file__).parents[1]),
+           "OMP_NUM_THREADS": "1"}
+    for command in (["validate", str(cfg_path)],
+                    ["run", str(cfg_path), "--out", str(tmp_path / "out")]):
+        proc = subprocess.run([sys.executable, "-m", "kg_lab.cli", *command], env=env,
+                              capture_output=True, text=True, preexec_fn=_limit_address_space)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "MemoryError"
+        assert record["message"].startswith("Unable to allocate")
+        assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_running_out_while_writing_exits_2_and_removes_the_run(tmp_path, capsys,
+                                                                      monkeypatch):
+    format_rows = kg_lab.scenarios.format_rows
+    calls = []
+
+    def failing_second_table(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError
+        return format_rows(*args)
+
+    monkeypatch.setattr(kg_lab.scenarios, "format_rows", failing_second_table)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_config_text("gamma-density", **SMALL))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert len(calls) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(line) for line in captured.err.splitlines()] == \
+        [{"error": "MemoryError", "message": ""}]
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
