@@ -43,6 +43,7 @@ from .observables import (
     SuperpositionDensity,
     TwoModeSpec,
     compute_fields,
+    continuity_exact,
     continuity_residual,
     current_std,
     density_kg,
@@ -64,8 +65,8 @@ __all__ = [
     "ModeSet", "PacketSpec", "SpectralState", "from_coefficients", "gaussian_packet",
     "rest_phase_strip", "superposition",
     "EvolutionResult", "evolve", "kg_residual",
-    "DensityCurrentFields", "Moments", "SuperpositionDensity", "TwoModeSpec",
-    "compute_fields", "continuity_residual", "current_std", "density_kg", "moments",
+    "DensityCurrentFields", "Moments", "SuperpositionDensity", "TwoModeSpec", "compute_fields",
+    "continuity_exact", "continuity_residual", "current_std", "density_kg", "moments",
     "superposition_density", "two_mode_density_of_phase", "two_mode_min_density",
     "BandwidthError", "BranchError", "ConfigError", "KindError",
     "__version__",

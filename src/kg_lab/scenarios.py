@@ -57,7 +57,7 @@ from .observables import (
     SuperpositionDensity,
     TwoModeSpec,
     compute_fields,
-    continuity_residual,
+    continuity_exact,
     moments,
     superposition_density,
     two_mode_min_density,
@@ -71,7 +71,7 @@ _KG_PLUS = DispersionKind.KLEIN_GORDON_POSITIVE
 FIELD_COLUMNS = ("t", "x", "re_psi", "im_psi", "rho_nonrel", "rho_kg",
                  "rho_amended", "j_std", "j_amended")
 SUMMARY_COLUMNS = ("t", "norm", "centroid", "variance", "gamma_bar", "gamma_spread",
-                   "continuity_residual", "min_rho_kg", "argmin_x")
+                   "continuity_exact", "min_rho_kg", "argmin_x")
 
 
 def _normalized(raw: list[complex]) -> list[complex]:
@@ -89,7 +89,6 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
     "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 20.0}},
     "times": [0.0],
-    "dt_continuity": 1e-3,
     "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
     "format": "csv",
     "output": "kg-lab-out",
@@ -175,7 +174,6 @@ class ScenarioConfig:
     grid: Grid1D
     units: UnitSystem
     times: tuple[float, ...]
-    dt_continuity: float
     gamma_spread_tol: float
     fmt: str
     output: str
@@ -233,22 +231,21 @@ def _mode_entry(entry: Any, path: str, keys: set[str],
     return out, _lattice_k(grid, j, path)
 
 
-def _max_omega(kind: DispersionKind, grid: Grid1D, units: UnitSystem, reach: float,
-               path: str) -> float:
-    """The largest |omega| on the lattice, the Nyquist wavenumber's.
-
-    ConfigError unless it and the phase it accrues over a time reach are
-    finite: exp(-i omega t) of an overflowed product is NaN.
+def _check_max_omega(kind: DispersionKind, grid: Grid1D, units: UnitSystem, reach: float,
+                     path: str) -> None:
+    """ConfigError unless the largest |omega| on the lattice, the Nyquist
+    wavenumber's, is finite and its phase over a time reach rounds by at
+    most 1e-6 rad: the double omega * t is off by up to |omega t| 2^-53.
+    An overflowed phase, whose exp(-i omega t) is NaN, fails that rule too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = abs(omega(kind, float(grid.wavenumbers[grid.nyquist_index]), units))
     if not math.isfinite(w):
         raise ConfigError(f"grid: the {kind.value} frequency at the Nyquist wavenumber is {w!r} "
                           f"for c={units.c!r}; it must be finite")
-    if not math.isfinite(w * reach):
+    if abs(w * reach) * 2.0**-53 > 1e-6:
         raise ConfigError(f"{path}: the phase {w!r} * {reach!r} of the largest lattice "
-                          "frequency overflows")
-    return w
+                          "frequency rounds by more than 1e-6 rad")
 
 
 def _initial_state(block: dict[str, Any], grid: Grid1D,
@@ -281,11 +278,6 @@ def _initial_state(block: dict[str, Any], grid: Grid1D,
             _require_number(tm.get(key), f"{path}.{key}")
         if tm["a1_sq"] <= 0 or tm["a2_sq"] <= 0:
             raise ConfigError(f"{path}: amplitude weights must be positive")
-        if abs(tm["a1_sq"] + tm["a2_sq"] - 1.0) > 1e-10:
-            raise ConfigError(
-                f"{path}: weights must satisfy a1_sq + a2_sq = 1 (unitarity), "
-                f"got {tm['a1_sq'] + tm['a2_sq']}"
-            )
         cutoff = units.rest_omega * (1.0 - 1e-12)
         if tm["omega1"] < cutoff or tm["omega2"] < cutoff:
             raise ConfigError(f"{path}: frequencies must lie on or above the rest frequency")
@@ -315,9 +307,9 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
 
     The initial state is built here, once, and every runner starts from it.
     Schema violations raise ConfigError (with line/column for parse errors
-    and dotted paths for field errors), as do frequencies or phases the run
-    would overflow and a dt_continuity too small to resolve; support and
-    bandwidth violations raise BandwidthError.
+    and dotted paths for field errors), as do frequencies the run would
+    overflow and phases it would not resolve; support and bandwidth
+    violations raise BandwidthError.
     """
     try:
         raw = json.loads(text)
@@ -357,9 +349,6 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
     if not times:
         raise ConfigError("times: must list at least one sample time")
     times = tuple(float(_require_number(t, f"times[{i}]")) for i, t in enumerate(times))
-    dt = float(_require_number(resolved["dt_continuity"], "dt_continuity"))
-    if dt <= 0:
-        raise ConfigError(f"dt_continuity: must be positive, got {dt}")
     spread_tol = float(_require_number(resolved["gamma_spread_tol"], "gamma_spread_tol"))
     if spread_tol <= 0:
         raise ConfigError(f"gamma_spread_tol: must be positive, got {spread_tol}")
@@ -377,29 +366,20 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
             raise ConfigError(f"c_factor: {exc}") from exc
         kwargs["c_factor"] = factor
 
-    # Every series is evolved to t, and from there by -/+ dt (the negative
-    # branch has the same |omega|); nonrel-limit also evolves both its
-    # branches, in both unit systems, to strip_time.
-    w_max = _max_omega(DispersionKind.KLEIN_GORDON_POSITIVE, grid, units,
-                       max(abs(t) for t in times) + dt, "times")
-    for i, t in enumerate(times):
-        if t - dt == t or t + dt == t:
-            raise ConfigError(f"dt_continuity: {dt!r} is lost in rounding beside "
-                              f"times[{i}] = {t!r}, so t -/+ dt equals t")
-    if 1.0 + dt * w_max == 1.0:
-        raise ConfigError(f"dt_continuity: every phase step {dt!r} * omega is below rounding "
-                          f"(largest lattice frequency {w_max!r}), so t -/+ dt equals t")
+    # Every series is evolved to each sample time (the negative branch has
+    # the same |omega|); nonrel-limit also evolves both its branches, in
+    # both unit systems, to strip_time.
+    _check_max_omega(_KG_PLUS, grid, units, max(abs(t) for t in times), "times")
     if "strip_time" in resolved:
         strip = float(_require_number(resolved["strip_time"], "strip_time"))
         for system in systems:
-            for kind in (DispersionKind.KLEIN_GORDON_POSITIVE, DispersionKind.SCHRODINGER):
-                _max_omega(kind, grid, system, abs(strip), "strip_time")
+            for kind in (_KG_PLUS, DispersionKind.SCHRODINGER):
+                _check_max_omega(kind, grid, system, abs(strip), "strip_time")
         kwargs["strip_time"] = strip
 
     return ScenarioConfig(
         scenario=name, resolved=resolved, grid=grid, units=units, times=times,
-        dt_continuity=dt, gamma_spread_tol=spread_tol,
-        fmt=resolved["format"], output=resolved["output"], **kwargs,
+        gamma_spread_tol=spread_tol, fmt=resolved["format"], output=resolved["output"], **kwargs,
     )
 
 
@@ -488,50 +468,36 @@ class RunResult:
     series: dict[str, ObservableSeries]
 
 
-@dataclass(frozen=True, eq=False)
-class _Sample:
-    """One sample time: the fields of the evolved state and those at t -/+ dt."""
-
-    t: float
-    fields: DensityCurrentFields
-    before: DensityCurrentFields
-    after: DensityCurrentFields
-
-
-def _series_for(state: SpectralState,
-                config: ScenarioConfig) -> tuple[ObservableSeries, list[_Sample]]:
+def _series_for(state: SpectralState, config: ScenarioConfig
+                ) -> tuple[ObservableSeries, list[DensityCurrentFields]]:
     """Evolve to each sample time and fill the series' fields and summary tables.
 
-    Each sample's fields at t and t -/+ dt are returned too, so that runners
-    read them rather than evolving again. The t -/+ dt snapshots are the
-    sample state evolved by -/+ dt, so the rounding of t -/+ dt never enters
-    their phase. The state is a run's KG+ initial state or, in branch-demo,
-    its KG- twin: the residual pairs the conserved density with the standard
-    current, and moments are taken on the conserved density for KG+ and on
-    psi*psi for KG- (where the conserved density need not be positive).
+    Each sample's fields are returned too, in config.times order, so that
+    runners read them rather than evolving again. The state is a run's KG+
+    initial state or, in branch-demo, its KG- twin: the continuity defect
+    pairs the conserved density with the standard current, and moments are
+    taken on the conserved density for KG+ and on psi*psi for KG- (where
+    the conserved density need not be positive).
     """
-    grid, dt = config.grid, config.dt_continuity
+    grid = config.grid
     table = np.empty((len(config.times), grid.n, len(FIELD_COLUMNS)))
     summary = np.empty((len(config.times), len(SUMMARY_COLUMNS)))
     samples = []
     for i, t in enumerate(config.times):
         result = evolve(state, t)
         fields = compute_fields(result)
-        before = compute_fields(evolve(result.state, -dt))
-        after = compute_fields(evolve(result.state, dt))
-        residual = continuity_residual(before.rho_kg, after.rho_kg, fields.j_std, dt, grid)
         mom_rho = fields.rho_kg if state.kind is DispersionKind.KLEIN_GORDON_POSITIVE \
             else fields.rho_nonrel
         mom = moments(mom_rho, grid)
         imin = int(np.argmin(fields.rho_kg))
         summary[i] = (t, state_norm(grid, result.state.values), mom.centroid, mom.variance,
-                      fields.gamma_bar, fields.gamma_spread, residual, fields.rho_kg[imin],
-                      grid.points[imin])
+                      fields.gamma_bar, fields.gamma_spread, continuity_exact(fields),
+                      fields.rho_kg[imin], grid.points[imin])
         for c, column in enumerate((t, grid.points, result.state.values.real,
                                     result.state.values.imag, fields.rho_nonrel, fields.rho_kg,
                                     fields.rho_amended, fields.j_std, fields.j_amended)):
             table[i, :, c] = column
-        samples.append(_Sample(t, fields, before, after))
+        samples.append(fields)
     return ObservableSeries(fields=table, summary=summary), samples
 
 
@@ -564,7 +530,8 @@ _RunnerOutput = tuple[dict[str, ObservableSeries], dict[str, Any], dict[str, Any
 
 
 def _main_series(state: SpectralState, config: ScenarioConfig
-                 ) -> tuple[dict[str, ObservableSeries], dict[str, Any], list[_Sample]]:
+                 ) -> tuple[dict[str, ObservableSeries], dict[str, Any],
+                            list[DensityCurrentFields]]:
     """The frame of a one-state scenario: its series, gamma statistics and samples."""
     main, samples = _series_for(state, config)
     fields = compute_fields(EvolutionResult(state), spread_tol=config.gamma_spread_tol)
@@ -591,14 +558,10 @@ def _grid_scan(modes: ModeSet, config: ScenarioConfig
 def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
     derived["group_velocity_carrier"] = group_velocity(_KG_PLUS, config.packet.k0, config.units)
-    dt, grid = config.dt_continuity, config.grid
-    conserved = series["main"].summary[:, SUMMARY_COLUMNS.index("continuity_residual")]
-    rows = [{
-        "t": s.t,
-        "residual_conserved": residual,
-        "residual_amended": continuity_residual(
-            s.before.rho_amended, s.after.rho_amended, s.fields.j_amended, dt, grid),
-    } for s, residual in zip(samples, conserved.tolist())]
+    conserved = series["main"].summary[:, SUMMARY_COLUMNS.index("continuity_exact")]
+    rows = [{"t": t, "residual_conserved": residual,
+             "residual_amended": continuity_exact(fields, amended=True)}
+            for t, fields, residual in zip(config.times, samples, conserved.tolist())]
     return series, derived, {
         "continuity": rows,
         "max_residual_conserved": max(r["residual_conserved"] for r in rows),
@@ -609,11 +572,11 @@ def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
 def _run_gamma_density(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
     deviations = []
-    for s in samples:
-        rho_nonrel = s.fields.rho_nonrel
+    for t, fields in zip(config.times, samples):
+        rho_nonrel = fields.rho_nonrel
         mask = rho_nonrel >= 1e-3 * rho_nonrel.max()
-        rel = np.abs(s.fields.rho_kg[mask] / (derived["gamma_bar"] * rho_nonrel[mask]) - 1.0)
-        deviations.append({"t": s.t, "max_rel_deviation": float(rel.max())})
+        rel = np.abs(fields.rho_kg[mask] / (derived["gamma_bar"] * rho_nonrel[mask]) - 1.0)
+        deviations.append({"t": t, "max_rel_deviation": float(rel.max())})
     return series, derived, {"density_vs_gamma": deviations, "mask_threshold": 1e-3}
 
 
@@ -622,14 +585,13 @@ def _run_amended(config: ScenarioConfig) -> _RunnerOutput:
     vg = group_velocity(_KG_PLUS, config.packet.k0, config.units)
     derived["group_velocity_carrier"] = vg
     rows = []
-    for s in samples:
-        fields = s.fields
+    for t, fields in zip(config.times, samples):
         gap = np.linalg.norm(fields.rho_amended - fields.rho_nonrel)
         ref = np.linalg.norm(fields.rho_nonrel)
         peak = int(np.argmax(fields.rho_amended))
         velocity = fields.j_amended[peak] / fields.rho_amended[peak]
         rows.append({
-            "t": s.t,
+            "t": t,
             "l2_ratio_to_nonrel": float(gap / ref),
             "peak_velocity_ratio": float(velocity / vg),
         })
@@ -644,7 +606,7 @@ def _run_branch_demo(config: ScenarioConfig) -> _RunnerOutput:
     for label, state in (("positive", config.state), ("negative", negative)):
         series[label], samples = _series_for(state, config)
         branches[label] = {"density_ratio_mean": [
-            float(np.mean(s.fields.rho_kg / s.fields.rho_nonrel)) for s in samples]}
+            float(np.mean(f.rho_kg / f.rho_nonrel)) for f in samples]}
     return series, {}, {
         "branches": branches,
         "mode_k": k,
@@ -669,7 +631,7 @@ def _run_superposition_scan(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
     results, densities = _grid_scan(config.modes, config)
     results["amplitude_vs_state_max_diff"] = max(
-        float(np.max(np.abs(sd.rho - s.fields.rho_kg))) for sd, s in zip(densities, samples))
+        float(np.max(np.abs(sd.rho - f.rho_kg))) for sd, f in zip(densities, samples))
     return series, derived, results
 
 
@@ -677,7 +639,7 @@ def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
     grid, coefficients, strip = config.grid, config.state.coefficients, config.strip_time
     # The main series holds the base-unit KG+ packet at each of its times.
-    sampled = {s.t: s.fields.result.state for s in samples}
+    sampled = {t: f.result.state for t, f in zip(config.times, samples)}
     gaps = {}
     for label, factor in (("base", 1.0), ("doubled", config.c_factor)):
         units = UnitSystem(hbar=config.units.hbar, c=config.units.c * factor,
@@ -727,9 +689,7 @@ SCENARIOS: dict[str, Scenario] = {
         _run_branch_demo),
     "two-mode": Scenario(
         {"units": {"hbar": 1.0, "c": 1.0, "m": 1.0},
-         "state": {"two_mode": {"a1_sq": 0.9, "a2_sq": 0.1, "omega1": 1.0, "omega2": 5.0}},
-         # beats at omega2 - omega1 need a finer centered difference than packets
-         "dt_continuity": 1e-5},
+         "state": {"two_mode": {"a1_sq": 0.9, "a2_sq": 0.1, "omega1": 1.0, "omega2": 5.0}}},
         "two-mode interference; closed-form phase minimum and a realized negative grid density",
         _run_two_mode),
     "superposition-scan": Scenario(
@@ -739,8 +699,7 @@ SCENARIOS: dict[str, Scenario] = {
              {"amplitude_re": a.real, "amplitude_im": a.imag, "index": j}
              for a, j in zip(_SCAN_AMPLITUDES, _SCAN_INDICES)
          ]},
-         "times": [0.0, 2.5, 5.0],
-         "dt_continuity": 1e-4},
+         "times": [0.0, 2.5, 5.0]},
         "multi-mode superposition; amplitude-space density scan cross-checked against the state density",
         _run_superposition_scan),
     "nonrel-limit": Scenario(
@@ -777,10 +736,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            series, scenario_derived, results = SCENARIOS[config.scenario].run(config)
+            series, derived, results = SCENARIOS[config.scenario].run(config)
     except FloatingPointError as exc:
         raise FloatingPointError(f"scenario {config.scenario!r}, stage runner: {exc}") from exc
-    derived: dict[str, Any] = {"dt_continuity": config.dt_continuity, **scenario_derived}
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []

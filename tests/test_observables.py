@@ -8,10 +8,12 @@ from hypothesis.extra import numpy as hnp
 from kg_lab import (
     BandwidthError,
     DispersionKind,
+    KindError,
     ModeSet,
     TwoModeSpec,
     UnitSystem,
     compute_fields,
+    continuity_exact,
     continuity_residual,
     density_kg,
     current_std,
@@ -31,6 +33,7 @@ from kg_lab import observables
 from kg_lab.foundation import spectral_derivative
 from kg_lab.observables import _real_part
 from kg_lab.states import SUPPORT_SIGMAS, PacketSpec
+from strategies import laws, states, times
 
 KG = DispersionKind.KLEIN_GORDON_POSITIVE
 NR = DispersionKind.SCHRODINGER
@@ -232,6 +235,21 @@ def test_real_part_guard():
         _real_part(np.array([1.0 + 1e-6j]), "field")
     out = _real_part(np.array([2.0 + 0.0j]), "field")
     assert out.dtype.kind == "f"
+
+
+@laws
+@given(data=st.data(), t=times)
+def test_exact_continuity_defect_is_rounding_within_half_the_band(data, t):
+    # Modes within half the bandwidth keep the current's doubled band on the
+    # grid, and the defect is rounding; a state that fills the band aliases
+    # its current. The defect needs psi_tt = c^2 psi_xx, which only a
+    # Klein-Gordon state has.
+    klein_gordon = st.sampled_from([KG, unphysical_negative_branch()])
+    half, full = (data.draw(states(klein_gordon, band=band)) for band in (0.5, 1.0))
+    assert continuity_exact(compute_fields(evolve(half, t))) <= 1e-12
+    assert continuity_exact(compute_fields(evolve(full, t))) > 1e-3
+    with pytest.raises(KindError):
+        continuity_exact(compute_fields(evolve(data.draw(states(st.just(NR))), t)))
 
 
 def test_continuity_residual_packet(units_m4, grid400):

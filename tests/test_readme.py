@@ -1,8 +1,12 @@
-"""README's Python examples run and print what their comments say."""
+"""README's Python examples run and print what their comments say, and
+its config block and catalog table are the program's own."""
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
+
+from kg_lab.scenarios import SCENARIOS, default_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,16 @@ def test_readme_python_examples_print_what_their_comments_say():
                 assert line.startswith(comment.group(1)), (call, line)
                 checked += 1
     assert checked == 3
+
+
+def test_readme_config_block_is_the_packet_continuity_default():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    assert json.loads(blocks[0]) == default_config("packet-continuity")
+
+
+def test_readme_catalog_table_holds_the_scenario_blurbs():
+    # One row per scenario, in catalog order; a cell may set code in backticks.
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(), re.M)
+    assert [(name, blurb.replace("`", "")) for name, blurb in rows] == \
+        [(name, scenario.blurb) for name, scenario in SCENARIOS.items()]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kg_lab import (BandwidthError, ConfigError, compute_fields, continuity_residual, evolve,
+from kg_lab import (BandwidthError, ConfigError, compute_fields, continuity_exact, evolve,
                     moments, state_norm)
 from kg_lab.cli import main
 import kg_lab.scenarios
@@ -63,6 +63,11 @@ def test_every_catalog_default_validates():
         assert cfg.scenario == name
 
 
+def test_every_catalog_default_validates_at_t_1e6():
+    for name in scenario_names():
+        assert validate_config(_config_text(name, times=[1e6])).times == (1e6,)
+
+
 def test_unknown_scenario():
     with pytest.raises(ConfigError, match="unknown scenario"):
         validate_config(_config_text("does-not-exist"))
@@ -97,8 +102,6 @@ def test_grid_and_units_validation():
 def test_times_and_dt_validation():
     with pytest.raises(ConfigError, match="times"):
         validate_config(_config_text("packet-continuity", times=[]))
-    with pytest.raises(ConfigError, match="dt_continuity"):
-        validate_config(_config_text("packet-continuity", dt_continuity=0.0))
     with pytest.raises(ConfigError, match="format"):
         validate_config(_config_text("packet-continuity", format="xml"))
 
@@ -177,8 +180,7 @@ def test_run_writes_expected_files(tmp_path):
     assert meta["scenario"] == "gamma-density"
     assert meta["config"]["grid"]["n"] == 512
     assert meta["config"]["output"] == str(tmp_path)  # overrides are echoed
-    assert set(meta["derived"]) == {"dt_continuity", "gamma_bar", "gamma_spread",
-                                    "gamma_spread_flag"}
+    assert set(meta["derived"]) == {"gamma_bar", "gamma_spread", "gamma_spread_flag"}
     assert meta["results"]["density_vs_gamma"][0]["max_rel_deviation"] < 1e-2
 
     # The default packet's relative gamma spread is about 0.003: the flag is
@@ -196,7 +198,7 @@ def test_series_columns_hold_the_named_observables(tmp_path):
     cfg = validate_config(_config_text("gamma-density", **SMALL),
                           output_override=str(tmp_path))
     series = run_scenario(cfg).series["main"]
-    grid, dt = cfg.grid, cfg.dt_continuity
+    grid = cfg.grid
     for i, t in enumerate(cfg.times):
         result = evolve(cfg.state, t)
         psi = result.state.values
@@ -206,13 +208,12 @@ def test_series_columns_hold_the_named_observables(tmp_path):
                    "j_std": f.j_std, "j_amended": f.j_amended}
         for c, name in enumerate(FIELD_COLUMNS):
             assert np.array_equal(series.fields[i, :, c], np.broadcast_to(columns[name], grid.n))
-        before, after = (compute_fields(evolve(result.state, step)).rho_kg for step in (-dt, dt))
         mom = moments(f.rho_kg, grid)
         imin = int(np.argmin(f.rho_kg))
         scalars = {"t": t, "norm": state_norm(grid, psi), "centroid": mom.centroid,
                    "variance": mom.variance, "gamma_bar": f.gamma_bar,
                    "gamma_spread": f.gamma_spread,
-                   "continuity_residual": continuity_residual(before, after, f.j_std, dt, grid),
+                   "continuity_exact": continuity_exact(f),
                    "min_rho_kg": f.rho_kg[imin], "argmin_x": grid.points[imin]}
         assert series.summary[i].tolist() == [scalars[name] for name in SUMMARY_COLUMNS]
 
@@ -382,12 +383,20 @@ def test_validate_and_run_reject_unresolvable_two_mode(tmp_path, capsys, two_mod
      "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 1e-152}}},
     {"scenario": "packet-continuity", "times": [1e307]},  # omega * t overflows
     {"scenario": "nonrel-limit", "strip_time": 1e308},  # omega * strip_time overflows
-    # every phase step dt * omega is below rounding
-    {"scenario": "packet-continuity", "dt_continuity": 1e-300, "times": [0.0]},
-    {"scenario": "packet-continuity", "times": [1e300]},  # t + dt == t
+    {"scenario": "packet-continuity", "times": [1e300]},  # the phase is all rounding
+    # The carrier's phase 5e14 rounds in steps of ulp(5e14) = 0.0625 rad.
+    {"scenario": "packet-continuity", "times": [1e14]},
 ])
 def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, capsys, config):
     _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
+
+
+def test_the_removed_dt_continuity_key_is_unknown(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_config_text("packet-continuity", dt_continuity=1e-3))
+    assert main(["validate", str(cfg_path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ConfigError", "message": "dt_continuity: unknown key"}
 
 
 def test_mode_entries_on_one_lattice_index_fail_validate_and_run_alike(tmp_path, capsys):
@@ -396,6 +405,21 @@ def test_mode_entries_on_one_lattice_index_fail_validate_and_run_alike(tmp_path,
     config = {"scenario": "superposition-scan", "state": {"modes": [
         {"amplitude_re": 0.6, "index": 5}, {"amplitude_re": 0.8, "k": k}]}}
     _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
+
+
+@pytest.mark.parametrize("config", [
+    # A real packet at rest: j and drho/dt are both rounding noise, which a
+    # residual scaled by max|j| read as 2.2e5.
+    {"scenario": "packet-continuity", "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 10.0}},
+     "times": [0.0, 10.0]},
+    {"scenario": "nonrel-limit", "times": [0.0, 5.0]},  # read 3.8e4 at t = 0
+])
+def test_continuity_defect_stays_at_rounding_for_states_at_rest(tmp_path, config):
+    run = run_scenario(validate_config(json.dumps(config), output_override=str(tmp_path)))
+    column = run.series["main"].summary[:, SUMMARY_COLUMNS.index("continuity_exact")]
+    assert np.all(column <= 1e-9)
+    for key in ("max_residual_conserved", "max_residual_amended"):
+        assert run.results.get(key, 0.0) <= 1e-9
 
 
 def test_continuity_residual_stays_small_at_t_1e6(tmp_path):
@@ -500,30 +524,30 @@ def test_a_bad_config_file_exits_2_without_a_traceback(tmp_path, capsys, text):
 
 
 # One catalog run evolves each sample once: the initial state to each sample
-# time t, and the sample state by -/+ dt_continuity, per series, plus
-# nonrel-limit's strip-time evolves: four, less the base-unit KG+ one when
-# strip_time is a sample time, as by default. validate builds every initial
-# state and the runners re-tag its coefficients, so a run makes no forward
-# transform. Transforms: one inverse per state whose values are read, one
-# inverse per derivative read (the t -/+ dt snapshots read dpsi/dt for a
-# conserved density and never dpsi/dx), two per continuity residual.
+# time t, per series, plus nonrel-limit's strip-time evolves: four, less the
+# base-unit KG+ one when strip_time is a sample time, as by default.
+# validate builds every initial state and the runners re-tag its
+# coefficients. Transforms per sample: one inverse each for psi, dpsi/dt,
+# dpsi/dx and the continuity defect's psi_tt, and a forward and an inverse
+# for its spectral dj/dx; packet-continuity's amended defect takes dj/dx
+# of its own current. nonrel-limit also reads psi of each strip-time evolve.
 EVOLVE_CALLS = {
-    "packet-continuity": 18,
-    "gamma-density": 3,
-    "amended": 3,
-    "branch-demo": 6,
-    "two-mode": 3,
-    "superposition-scan": 9,
-    "nonrel-limit": 6,
+    "packet-continuity": 6,
+    "gamma-density": 1,
+    "amended": 1,
+    "branch-demo": 2,
+    "two-mode": 1,
+    "superposition-scan": 3,
+    "nonrel-limit": 4,
 }
 TRANSFORM_CALLS = {
-    "packet-continuity": 66,
-    "gamma-density": 9,
-    "amended": 9,
-    "branch-demo": 18,
-    "two-mode": 9,
-    "superposition-scan": 27,
-    "nonrel-limit": 12,
+    "packet-continuity": 48,
+    "gamma-density": 6,
+    "amended": 6,
+    "branch-demo": 12,
+    "two-mode": 6,
+    "superposition-scan": 18,
+    "nonrel-limit": 9,
 }
 
 
@@ -543,7 +567,7 @@ def test_each_sample_is_evolved_once(tmp_path, monkeypatch, name):
         return wrapped
 
     monkeypatch.setattr(kg_lab.scenarios, "evolve", counting_evolve)
-    for module in (kg_lab.foundation, kg_lab.states, kg_lab.propagation):
+    for module in (kg_lab.foundation, kg_lab.states, kg_lab.propagation, kg_lab.observables):
         for transform in ("forward_transform", "inverse_transform"):
             if hasattr(module, transform):
                 monkeypatch.setattr(module, transform, counting(getattr(module, transform)))
