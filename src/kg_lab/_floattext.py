@@ -1,7 +1,9 @@
 """Exact '%.17g' text of float64 tables, formed in numpy.
 
-`format_rows` appends to a bytearray, row by row, each value of the row
-followed by its column's separator. A finite value is written exactly as
+`format_rows` hands the text of a table, chunk of rows by chunk of rows,
+to a write callable (a file's write, or a bytearray's extend), each value
+of a row followed by its column's separator: no more than one chunk's
+text is held at a time. A finite value is written exactly as
 '%.17g' writes it; zeros keep their sign, and NaN (of either sign), inf
 and -inf are spelled NaN, Infinity and -Infinity.
 
@@ -49,7 +51,7 @@ The tables are built on first use, not at import.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,7 +82,8 @@ _ROWS = _NAN + 1
 _SCI2, _SCI3, _FORM_ZERO, _FORM_INF, _FORM_NAN = 21, 22, 23, 24, 25
 _FORMS = 26
 
-# Values per chunk: a few hundred kB of slots and masks, which stay in cache.
+# Values per chunk: a few hundred kB of slots and masks, which stay in cache;
+# one chunk's text is the most that format_rows holds at a time.
 _CHUNK_VALUES = 8192
 
 _J_MIN, _J_MAX = -293, 341  # the 10^j that 16 - X reaches, X off by one included
@@ -244,8 +247,9 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, x
 
 
-def format_rows(values: np.ndarray, seps: Sequence[bytes], out: bytearray) -> bytearray:
-    """Append the text of a 2-D float64 table to out and return out.
+def format_rows(values: np.ndarray, seps: Sequence[bytes],
+                write: Callable[[memoryview], object]) -> None:
+    """Write the text of a 2-D float64 table through write, one chunk of rows per call.
 
     Each row is written as every value followed by the separator of its
     column: seps holds one bytes string of 1 to 3 bytes per column.
@@ -256,7 +260,7 @@ def format_rows(values: np.ndarray, seps: Sequence[bytes], out: bytearray) -> by
     if not all(1 <= len(sep) <= _MAX_SEP for sep in seps):
         raise ValueError(f"separators must be 1 to {_MAX_SEP} bytes: {list(seps)!r}")
     if rows * cols == 0:
-        return out
+        return
     texts = _texts()
     groups, last, forms = texts["groups"], texts["last"], texts["forms"]
     masks, prefixes = _masks(), texts["prefixes"]
@@ -314,5 +318,4 @@ def format_rows(values: np.ndarray, seps: Sequence[bytes], out: bytearray) -> by
         # Every index is in range; mode "raise" would copy through a buffer.
         masks.take(cls.reshape(n, cols) + sep_block, axis=0,
                    out=keep[:n].reshape(n, cols, -1), mode="clip")
-        out += slots[:n].reshape(-1)[keep[:n].reshape(-1)].data
-    return out
+        write(slots[:n].reshape(-1)[keep[:n].reshape(-1)].data)

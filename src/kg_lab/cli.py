@@ -9,6 +9,7 @@ stderr so callers can parse the reason without scraping text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -88,7 +89,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kg-lab argument parser, built once per process and shared by every
+    main call: parsing leaves it unchanged, and callers must not modify it."""
     parser = _Parser(
         prog="kg-lab",
         description="Spectral wave-packet laboratory: run shipped scenarios from JSON configs.",

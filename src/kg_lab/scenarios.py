@@ -27,12 +27,14 @@ formatted by _floattext.format_rows: their digits are decided exactly in
 numpy from a double-double product, and a value too close to a rounding
 tie for that product to decide takes its digits from '%' instead, so the
 bytes are '%.17g''s either way. Python scalars are formatted by '%' (_fmt).
-The writers return bytes, which _write_text writes.
+Every output file is written chunk by chunk as it is formatted (_write_file),
+so no file's text is held whole.
 """
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -393,32 +395,49 @@ def _fmt(x: float) -> str:
     return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _dumps(obj: Any, indent: int = 0) -> str:
-    """JSON with sorted keys and 17-significant-digit floats.
+# What a file's text is written through, a piece at a time: a file's write,
+# or a bytearray's extend.
+_Write = Callable[[bytes | bytearray | memoryview], object]
 
-    A 1-D float ndarray is written like a list of floats.
+
+def _dump(obj: Any, write: _Write, indent: int = 0) -> None:
+    """Write obj through write as JSON with sorted keys and 17-significant-digit floats.
+
+    A 1-D float ndarray is written like a list of floats. Its text is the
+    only text held whole, so that the separator after its last value can be
+    dropped.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
-        text = format_rows(np.asarray(obj, dtype=np.float64).reshape(-1, 1), [b", "], bytearray())
-        return "[" + text[:-2].decode("ascii") + "]"
+        text = bytearray(b"[")
+        format_rows(np.asarray(obj, dtype=np.float64).reshape(-1, 1), [b", "], text.extend)
+        text[max(1, len(text) - 2):] = b"]"
+        write(text)
+        return
+    if isinstance(obj, dict) and obj:
+        opening, closing = b"{", b"}"
+        items = [(json.dumps(str(key)).encode() + b": ", value)
+                 for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)) and not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+        opening, closing = b"[", b"]"
+        items = [(b"", value) for value in obj]
+    else:
+        write(_scalar(obj).encode())
+        return
+    inner = b"  " * (indent + 1)
+    write(opening)
+    for i, (key, value) in enumerate(items):
+        write(b"%s\n%s%s" % (b"," if i else b"", inner, key))
+        _dump(value, write, indent + 1)
+    write(b"\n%s%s" % (b"  " * indent, closing))
+
+
+def _scalar(obj: Any) -> str:
+    """The JSON text of anything but a nonempty dict or a list that holds more than numbers."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (
-            f"{inner}{json.dumps(str(key))}: {_dumps(value, indent + 1)}"
-            for key, value in sorted(obj.items())
-        )
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return "{}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
-            return "[" + ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in seq) + "]"
-        items = (f"{inner}{_dumps(value, indent + 1)}" for value in seq)
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        return "[" + ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -430,17 +449,27 @@ def _dumps(obj: Any, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _write_text(path: Path, data: bytes) -> None:
-    """Write the bytes of a text as a new file at path, replacing whatever was there.
+def _json(obj: Any, write: _Write) -> None:
+    """A JSON file: obj, then a newline."""
+    _dump(obj, write)
+    write(b"\n")
 
-    Unlinking first means a rerun never truncates the old file in place:
-    truncating blocks the previous run had flushed costs a discard and a
-    writeback on close (about 0.13 s for a 4 MB fields file on ext4), where
-    a new inode stays delayed-allocated. A hard link to the old file keeps
-    its bytes, and a symlink is replaced, not followed.
+
+def _write_file(path: Path, body: Callable[[_Write], None]) -> None:
+    """Write a file at path as a new inode, replacing whatever was there.
+
+    body writes the file's text, chunk by chunk, through the write it is
+    given, so no file's text is ever held whole. Unlinking first means a
+    rerun never truncates the old file in place: truncating blocks the
+    previous run had flushed costs a discard and a writeback on close
+    (about 0.13 s for a 4 MB fields file on ext4), where a new inode stays
+    delayed-allocated. A hard link to the old file keeps its bytes, and a
+    symlink is replaced, not followed. The exclusive open fails, rather
+    than truncate, if a file has appeared at path since the unlink.
     """
     path.unlink(missing_ok=True)
-    path.write_bytes(data)
+    with path.open("xb") as file:
+        body(file.write)
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +530,22 @@ def _series_for(state: SpectralState, config: ScenarioConfig
     return ObservableSeries(fields=table, summary=summary), samples
 
 
-def _csv(table: np.ndarray, columns: tuple[str, ...]) -> bytearray:
+def _csv(table: np.ndarray, columns: tuple[str, ...], write: _Write) -> None:
     """A table as CSV: the column names, then one line per row of its last axis."""
-    seps = [b","] * (len(columns) - 1) + [b"\n"]
-    return format_rows(table.reshape(-1, len(columns)), seps,
-                       bytearray((",".join(columns) + "\n").encode("ascii")))
+    write((",".join(columns) + "\n").encode("ascii"))
+    format_rows(table.reshape(-1, len(columns)), [b","] * (len(columns) - 1) + [b"\n"], write)
 
 
-def _json(key: str, records: list[dict[str, Any]]) -> bytes:
-    return (_dumps({key: records}) + "\n").encode("utf-8")
-
-
-def _series_texts(series: ObservableSeries, fmt: str) -> dict[str, bytes]:
-    """The text of a series' fields and summary files, in file order."""
+def _series_files(series: ObservableSeries, fmt: str) -> dict[str, Callable[[_Write], None]]:
+    """The bodies of a series' fields and summary files, in file order."""
     if fmt == "csv":
-        return {"fields": _csv(series.fields, FIELD_COLUMNS),
-                "summary": _csv(series.summary, SUMMARY_COLUMNS)}
+        return {"fields": functools.partial(_csv, series.fields, FIELD_COLUMNS),
+                "summary": functools.partial(_csv, series.summary, SUMMARY_COLUMNS)}
     fields = [{"t": block[0, 0], **dict(zip(FIELD_COLUMNS[1:], block.T[1:]))}
               for block in series.fields]
     summary = [dict(zip(SUMMARY_COLUMNS, row)) for row in series.summary.tolist()]
-    return {"fields": _json("fields", fields), "summary": _json("summary", summary)}
+    return {"fields": functools.partial(_json, {"fields": fields}),
+            "summary": functools.partial(_json, {"summary": summary})}
 
 
 # What a runner returns: the series to write (keyed "main", or by branch
@@ -730,9 +755,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     The runner computes under numpy's raise mode, so an overflow or invalid
     value raises FloatingPointError, naming the scenario and the stage,
     instead of writing NaN or inf. Nothing is written, and no directory
-    made, unless the runner returns. If an output cannot be written, the
-    files this run already wrote are removed before the error propagates,
-    so a failed run leaves no half of itself behind.
+    made, unless the runner returns. If an output cannot be written in
+    full, that file and the files this run already wrote are removed
+    before the error propagates, so a failed run leaves no half of itself
+    behind.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -745,10 +771,12 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     try:
         for label, ser in series.items():
             stem = config.scenario if label == "main" else f"{config.scenario}_{label}"
-            for name, text in _series_texts(ser, config.fmt).items():
+            for name, body in _series_files(ser, config.fmt).items():
                 path = out / f"{stem}_{name}.{config.fmt}"
-                _write_text(path, text)
+                # Listed before it is opened, so that a failure mid-file
+                # removes the partial file too.
                 files.append(path)
+                _write_file(path, body)
 
         metadata = {
             "scenario": config.scenario,
@@ -758,8 +786,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             "results": results,
         }
         meta_path = out / f"{config.scenario}_run.json"
-        _write_text(meta_path, (_dumps(metadata) + "\n").encode("utf-8"))
         files.append(meta_path)
+        _write_file(meta_path, functools.partial(_json, metadata))
     except BaseException:
         for path in files:
             with contextlib.suppress(OSError):

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the library-law tests: grid sizes and
-lengths, unit systems, branches, times, random states and Gaussian packets."""
+lengths, unit systems, branches, times, random states and Gaussian packets;
+and float tables in every notation for the text writers."""
 import math
 
 import numpy as np
@@ -65,3 +66,30 @@ def packets(draw, sizes=tuple(2**p for p in range(8, 13))):
     # Five spectral widths inside the bandwidth keep the Nyquist mode empty.
     k0 = draw(st.floats(-1.0, 1.0)) * (math.pi / dx - 5.0 / sigma)
     return PacketSpec(x0, k0, sigma), make_grid(n, length)
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan)
+
+
+@st.composite
+def notation_tables(draw, cols, min_values):
+    """A float64 table of cols columns and more than min_values values.
+
+    Each value has 1 to 17 significant digits and an exponent X in -4..16
+    (fixed notation) three times in four, in -300..299 otherwise; drawn
+    cells hold zeros, infinities and NaN.
+    """
+    rows = -(-min_values // cols) + draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(seeds))
+    size = rows * cols
+    k = rng.integers(1, 18, size)
+    digits = rng.integers(10 ** (k - 1), 10**k)
+    x = np.where(rng.random(size) < 0.75, rng.integers(-4, 17, size),
+                 rng.integers(-300, 300, size))
+    sign = np.where(rng.random(size) < 0.5, "-", "")
+    values = np.array([f"{s}{m}e{e}" for s, m, e in zip(sign, digits.tolist(),
+                                                      (x - k + 1).tolist())], dtype=np.float64)
+    for cell, special in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                                 st.sampled_from(SPECIAL_FLOATS)), max_size=40)):
+        values[cell] = special
+    return values.reshape(rows, cols)

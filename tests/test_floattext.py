@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from kg_lab import _floattext
 from kg_lab._floattext import format_rows
+from strategies import notation_tables
 
 
 def _ref(x):
@@ -31,7 +32,8 @@ def _ref(x):
 
 def _check(values, cols=1, seps=(b", ",)):
     table = np.asarray(values, dtype=np.float64).reshape(-1, cols)
-    text = format_rows(table, seps, bytearray(b"head\n"))
+    text = bytearray(b"head\n")
+    format_rows(table, seps, text.extend)
     expected = b"head\n" + b"".join(
         b"".join(_ref(v).encode() + sep for v, sep in zip(row, seps)) for row in table.tolist())
     assert text == expected
@@ -56,33 +58,11 @@ def test_raw_bit_patterns_match_percent_17g(bits, seps):
     _check(values, len(seps), seps)
 
 
-SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
-
-
 @st.composite
 def long_tables(draw):
-    """A table of at least three chunks, one more partial, and its separators.
-
-    Each value has 1 to 17 significant digits and an exponent X in -4..16
-    (fixed notation) three times in four, in -300..299 otherwise; drawn
-    cells hold zeros, infinities and NaN.
-    """
+    """A table of at least three chunks, one more partial, and its separators."""
     seps = draw(separators)
-    cols = len(seps)
-    rows = -(-3 * _floattext._CHUNK_VALUES // cols) + draw(st.integers(1, 2000))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = rows * cols
-    k = rng.integers(1, 18, size)
-    digits = rng.integers(10 ** (k - 1), 10**k)
-    x = np.where(rng.random(size) < 0.75, rng.integers(-4, 17, size),
-                 rng.integers(-300, 300, size))
-    sign = np.where(rng.random(size) < 0.5, "-", "")
-    values = np.array([f"{s}{m}e{e}" for s, m, e in zip(sign, digits.tolist(),
-                                                      (x - k + 1).tolist())], dtype=np.float64)
-    for cell, special in draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                                 st.sampled_from(SPECIALS)), max_size=40)):
-        values[cell] = special
-    return values.reshape(rows, cols), seps
+    return draw(notation_tables(len(seps), 3 * _floattext._CHUNK_VALUES)), seps
 
 
 @settings(max_examples=10, deadline=None)
@@ -94,15 +74,16 @@ def test_tables_of_several_chunks_match_percent_17g(table):
 
 
 def test_separators_are_checked():
-    table = np.ones((2, 2))
+    table, text = np.ones((2, 2)), bytearray()
     with pytest.raises(ValueError):
-        format_rows(table, [b","], bytearray())
+        format_rows(table, [b","], text.extend)
     with pytest.raises(ValueError):
-        format_rows(table, [b",", b",", b"\n"], bytearray())
+        format_rows(table, [b",", b",", b"\n"], text.extend)
     for bad in (b"", b",,,,"):
         with pytest.raises(ValueError):
-            format_rows(table, [b",", bad], bytearray())
-    assert format_rows(table, [b",", b"; \n"], bytearray()) == b"1,1; \n1,1; \n"
+            format_rows(table, [b",", bad], text.extend)
+    format_rows(table, [b",", b"; \n"], text.extend)
+    assert text == b"1,1; \n1,1; \n"
 
 
 def _carried(x):

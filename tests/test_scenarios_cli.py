@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from kg_lab import (BandwidthError, ConfigError, compute_fields, continuity_exact, evolve,
                     moments, state_norm)
-from kg_lab.cli import main
+from kg_lab.cli import build_parser, main
 import kg_lab.scenarios
 from kg_lab.scenarios import (
     FIELD_COLUMNS,
@@ -320,6 +321,24 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("OK: gamma-density")
 
 
+def test_consecutive_main_calls_share_no_parse_state(tmp_path, capsys):
+    # One parser serves every main call in a process; each call's options
+    # are its own.
+    assert build_parser() is build_parser()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_config_text("gamma-density", **SMALL))
+    out_dir = tmp_path / "out"
+    assert main(["validate", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith("OK: gamma-density")
+    assert main(["run", str(cfg_path), "--out", str(out_dir), "--format", "json",
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("scenario: gamma-density\n  " + " ".join(SUMMARY_COLUMNS))
+    assert f"wrote {out_dir / 'gamma-density_fields.csv'}" in text
+
+
 def test_cli_scenarios_lists_catalog(capsys):
     assert main(["scenarios"]) == 0
     names = [line.split(":", 1)[0] for line in capsys.readouterr().out.splitlines()]
@@ -477,26 +496,47 @@ def test_a_config_too_large_for_memory_exits_2_and_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_memory_running_out_while_writing_exits_2_and_removes_the_run(tmp_path, capsys,
-                                                                      monkeypatch):
+def _assert_a_failure_mid_file_removes_the_run(tmp_path, capsys, monkeypatch, error, code,
+                                                record):
+    # The second chunk that reaches a file raises, after the first is written:
+    # in CSV the second chunk of the fields table, in JSON its second column.
+    # The partial file is removed with the run, because its path is recorded
+    # before the file is opened.
     format_rows = kg_lab.scenarios.format_rows
-    calls = []
-
-    def failing_second_table(*args):
-        calls.append(1)
-        if len(calls) == 2:
-            raise MemoryError
-        return format_rows(*args)
-
-    monkeypatch.setattr(kg_lab.scenarios, "format_rows", failing_second_table)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_config_text("gamma-density", **SMALL))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    assert len(calls) == 2
-    captured = capsys.readouterr()
-    assert [json.loads(line) for line in captured.err.splitlines()] == \
-        [{"error": "MemoryError", "message": ""}]
-    assert list((tmp_path / "out").iterdir()) == []
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        chunks, present = [], []
+
+        def failing(values, seps, write):
+            def write_chunk(chunk):
+                chunks.append(len(chunk))
+                if len(chunks) == 2:
+                    present.extend(p.name for p in out.iterdir())
+                    raise error
+                write(chunk)
+            format_rows(values, seps, write_chunk)
+
+        monkeypatch.setattr(kg_lab.scenarios, "format_rows", failing)
+        assert main(["run", str(cfg_path), "--out", str(out), "--format", fmt, "--quiet"]) == code
+        assert len(chunks) == 2
+        assert present == [f"gamma-density_fields.{fmt}"]
+        captured = capsys.readouterr()
+        assert [json.loads(line) for line in captured.err.splitlines()] == [record]
+        assert list(out.iterdir()) == []
+
+
+def test_memory_running_out_while_writing_exits_2_and_removes_the_run(tmp_path, capsys,
+                                                                      monkeypatch):
+    _assert_a_failure_mid_file_removes_the_run(tmp_path, capsys, monkeypatch, MemoryError, 2,
+                                               {"error": "MemoryError", "message": ""})
+
+
+def test_a_full_disk_while_writing_exits_4_and_removes_the_run(tmp_path, capsys, monkeypatch):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    _assert_a_failure_mid_file_removes_the_run(tmp_path, capsys, monkeypatch, full, 4,
+                                               {"error": "OSError", "message": str(full)})
 
 
 def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):

@@ -1,29 +1,35 @@
 """Float text of the scenario writers against a per-value reference.
 
-The writers format whole tables at once; the reference formats one value at
-a time with format(x, ".17g") and spells non-finite values NaN, Infinity and
--Infinity. The two must agree byte for byte.
+The writers format whole tables at once and stream them to their file chunk
+by chunk; the reference formats one value at a time with format(x, ".17g")
+and spells non-finite values NaN, Infinity and -Infinity. The two must agree
+byte for byte, for tables of one chunk and of several.
 """
+import functools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kg_lab._floattext import _CHUNK_VALUES
 from kg_lab.scenarios import (
     FIELD_COLUMNS,
     SUMMARY_COLUMNS,
     ObservableSeries,
     _csv,
-    _dumps,
-    _series_texts,
+    _dump,
+    _series_files,
+    _write_file,
     run_scenario,
     scenario_names,
     validate_config,
 )
+from strategies import notation_tables
 
 _EDGE_VALUES = [
     math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf, 0.0, -0.0,
@@ -44,8 +50,16 @@ def _with_block_times(fields):
     return fields
 
 
-tables = st.tuples(st.sampled_from([FIELD_COLUMNS, SUMMARY_COLUMNS]), st.integers(1, 3)).flatmap(
-    lambda drawn: st.tuples(st.just(drawn[0]), _table(*drawn)))
+# A table of a few samples, or a fields or summary table of more than one
+# chunk, in every notation.
+tables = st.one_of(
+    st.tuples(st.sampled_from([FIELD_COLUMNS, SUMMARY_COLUMNS]), st.integers(1, 3)).flatmap(
+        lambda drawn: st.tuples(st.just(drawn[0]), _table(*drawn))),
+    st.sampled_from([FIELD_COLUMNS, SUMMARY_COLUMNS]).flatmap(
+        lambda columns: st.tuples(st.just(columns),
+                                  notation_tables(len(columns), _CHUNK_VALUES))))
+arrays = st.one_of(hnp.arrays(np.float64, st.integers(0, 40), elements=floats64),
+                   notation_tables(1, _CHUNK_VALUES).map(np.ravel))
 series_strategy = st.integers(1, 3).flatmap(
     lambda times: st.builds(ObservableSeries, _table(FIELD_COLUMNS, times).map(_with_block_times),
                             _table(SUMMARY_COLUMNS, times)))
@@ -88,27 +102,39 @@ def _ref_summary_json(summary):
     return '{\n  "summary": [\n' + ",\n".join(records) + "\n  ]\n}\n"
 
 
-def _assert_json_matches(series):
-    texts = _series_texts(series, "json")
-    assert list(texts) == ["fields", "summary"]
-    assert texts["fields"].decode() == _ref_fields_json(series.fields)
-    assert texts["summary"].decode() == _ref_summary_json(series.summary)
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("written")
 
 
-@given(hnp.arrays(np.float64, st.integers(0, 40), elements=floats64))
-def test_json_array_matches_per_value_reference(values):
-    assert _dumps(values) == _ref_array(values)
+def _written(out_dir, body):
+    """The text of the file that the run's file writer writes from body."""
+    path = out_dir / "file"
+    _write_file(path, body)
+    return path.read_text()
+
+
+def _assert_json_matches(series, out_dir):
+    bodies = _series_files(series, "json")
+    assert list(bodies) == ["fields", "summary"]
+    assert _written(out_dir, bodies["fields"]) == _ref_fields_json(series.fields)
+    assert _written(out_dir, bodies["summary"]) == _ref_summary_json(series.summary)
+
+
+@given(arrays)
+def test_json_array_matches_per_value_reference(out_dir, values):
+    assert _written(out_dir, functools.partial(_dump, values)) == _ref_array(values)
 
 
 @given(tables)
-def test_csv_matches_per_value_reference(drawn):
+def test_csv_matches_per_value_reference(out_dir, drawn):
     columns, table = drawn
-    assert _csv(table, columns).decode() == _ref_csv(table, columns)
+    assert _written(out_dir, functools.partial(_csv, table, columns)) == _ref_csv(table, columns)
 
 
 @given(series_strategy)
-def test_series_json_matches_per_value_reference(series):
-    _assert_json_matches(series)
+def test_series_json_matches_per_value_reference(out_dir, series):
+    _assert_json_matches(series, out_dir)
 
 
 def test_branch_demo_negative_series_matches_per_value_reference(tmp_path):
@@ -121,7 +147,7 @@ def test_branch_demo_negative_series_matches_per_value_reference(tmp_path):
     summary = (tmp_path / "branch-demo_negative_summary.csv").read_text()
     assert "NaN" in summary
     assert summary == _ref_csv(series.summary, SUMMARY_COLUMNS)
-    _assert_json_matches(series)
+    _assert_json_matches(series, tmp_path)
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -140,4 +166,28 @@ def test_catalog_outputs_match_per_value_reference(name, tmp_path):
         assert (summary[:, 0] == cfg.times).all()
         assert (tmp_path / f"{stem}_fields.csv").read_text() == _ref_csv(fields, FIELD_COLUMNS)
         assert (tmp_path / f"{stem}_summary.csv").read_text() == _ref_csv(summary, SUMMARY_COLUMNS)
-        _assert_json_matches(series)
+        _assert_json_matches(series, tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writing_a_series_holds_no_file_text_whole(fmt, tmp_path):
+    # Each file is streamed to disk chunk by chunk, so the memory a series
+    # takes to write does not grow with its text: 8 blocks of 4096 rows
+    # (5 to 7 MB of fields text) peak within 1 MiB of 1 block.
+    rng = np.random.default_rng(17)
+
+    def peak(times):
+        series = ObservableSeries(rng.standard_normal((times, 4096, len(FIELD_COLUMNS))),
+                                  rng.standard_normal((times, len(SUMMARY_COLUMNS))))
+        tracemalloc.start()
+        try:
+            for name, body in _series_files(series, fmt).items():
+                _write_file(tmp_path / f"{name}.{fmt}", body)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds the formatting tables, which are kept
+    one, eight = peak(1), peak(8)
+    assert (tmp_path / f"fields.{fmt}").stat().st_size > 5 * 2**20
+    assert eight - one < 2**20
