@@ -18,7 +18,6 @@ from .foundation import (
     nyquist_fraction,
 )
 from .dispersion import (
-    DEFAULT_GAMMA_SPREAD_TOL,
     DispersionKind,
     GammaStats,
     gamma_of_omega,
@@ -59,9 +58,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid1D", "UnitSystem", "forward_transform", "inverse_transform", "make_grid",
     "spectral_derivative", "state_norm", "spectral_norm_sq", "nyquist_fraction",
-    "DEFAULT_GAMMA_SPREAD_TOL", "DispersionKind", "GammaStats",
-    "gamma_of_omega", "gamma_of_state", "group_velocity", "omega",
-    "unphysical_negative_branch",
+    "DispersionKind", "GammaStats", "gamma_of_omega", "gamma_of_state", "group_velocity",
+    "omega", "unphysical_negative_branch",
     "ModeSet", "PacketSpec", "SpectralState", "from_coefficients", "gaussian_packet",
     "rest_phase_strip", "superposition",
     "EvolutionResult", "evolve", "kg_residual",

@@ -55,6 +55,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .foundation import _readonly
+
 # |r - 1/2| must clear this for the vector path to decide the rounding; the
 # double-double error is under 5e-15, and the fraction's own under 2^-53.
 _MARGIN = 1e-9
@@ -111,11 +113,6 @@ def _powers() -> tuple[np.ndarray, np.ndarray]:
     # One row per j, so that one take gathers all four; int32 exponents, for
     # which np.ldexp is several times faster than for int64.
     return _readonly(np.array(rows)), _readonly(np.array(shifts, dtype=np.int32))
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _form(row: int) -> int:

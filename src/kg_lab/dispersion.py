@@ -23,11 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ArrayOrFloat = Union[float, np.ndarray]
 
-# Relative gamma spread above which amended observables carry a validity
-# warning: the single-gamma replacement m -> gamma*m is only as good as the
-# packet is monochromatic.
-DEFAULT_GAMMA_SPREAD_TOL = 0.01
-
 
 class DispersionKind(enum.Enum):
     KLEIN_GORDON_POSITIVE = "kg+"

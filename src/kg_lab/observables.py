@@ -27,14 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
-from .dispersion import (
-    DEFAULT_GAMMA_SPREAD_TOL,
-    DispersionKind,
-    GammaStats,
-    gamma_of_state,
-    omega,
-)
+from .dispersion import DispersionKind, GammaStats, gamma_of_state, omega
 from .errors import KindError
 from .foundation import Grid1D, UnitSystem, _readonly, inverse_transform, spectral_derivative
 from .propagation import EvolutionResult
@@ -83,12 +76,11 @@ class DensityCurrentFields:
     a field nobody reads costs nothing. The amended pair is the conserved
     density and the standard current divided by gamma_bar. For states
     without a Lorentz factor (Schrodinger, negative branch) the gamma
-    statistics, and with them the amended arrays, are NaN and the flag is
-    set: the amended construction simply does not apply there.
+    statistics, and with them the amended arrays, are NaN: the amended
+    construction simply does not apply there.
     """
 
     result: EvolutionResult
-    spread_tol: float
 
     @cached_property
     def rho_nonrel(self) -> np.ndarray:
@@ -134,16 +126,10 @@ class DensityCurrentFields:
     def gamma_spread(self) -> float:
         return self._gamma_stats.gamma_spread
 
-    @property
-    def gamma_spread_flag(self) -> bool:
-        # NaN statistics fail the comparison, so they set the flag.
-        return not self._gamma_stats.relative_spread <= self.spread_tol
 
-
-def compute_fields(result: EvolutionResult,
-                   spread_tol: float = DEFAULT_GAMMA_SPREAD_TOL) -> DensityCurrentFields:
+def compute_fields(result: EvolutionResult) -> DensityCurrentFields:
     """The density/current fields of an evolved state, each computed on first read."""
-    return DensityCurrentFields(result=result, spread_tol=spread_tol)
+    return DensityCurrentFields(result=result)
 
 
 def continuity_exact(fields: DensityCurrentFields, amended: bool = False) -> float:
@@ -198,6 +184,27 @@ def continuity_residual(rho_before: np.ndarray, rho_after: np.ndarray,
     return defect * grid.length / scale
 
 
+def _pair_density(coefficients: np.ndarray, wavenumbers: np.ndarray,
+                  omegas: np.ndarray, positions: np.ndarray, t: float) -> np.ndarray:
+    """Pair-wise density sum (no physical prefactor):
+
+        s(x) = sum_j omega_j |A_j|^2
+             + sum_{j<k} (omega_j + omega_k) Re[A_j A_k* e^{i phi_jk(x,t)}]
+
+    with phi_jk = (k_j - k_k) x - (omega_j - omega_k) t. O(n_x * n_modes^2):
+    it loops over the mode pairs, which are few in practice (2 to a few
+    dozen modes), and vectorizes over positions.
+    """
+    m = coefficients.shape[0]
+    out = np.full(positions.shape[0], float(np.sum(omegas * np.abs(coefficients) ** 2)))
+    for j in range(m):
+        for l in range(j + 1, m):
+            z = coefficients[j] * np.conj(coefficients[l])
+            phase = (wavenumbers[j] - wavenumbers[l]) * positions - (omegas[j] - omegas[l]) * t
+            out += (omegas[j] + omegas[l]) * (z.real * np.cos(phase) - z.imag * np.sin(phase))
+    return out
+
+
 class SuperpositionDensity(NamedTuple):
     """Amplitude-space density profile with its grid minimum."""
 
@@ -223,7 +230,7 @@ def superposition_density(modes: ModeSet, t: float, grid: Grid1D,
         grid.wavenumber_index(float(k))  # off-lattice modes cannot be cross-checked
     amps = modes.amplitudes / math.sqrt(grid.length)
     omegas = omega(DispersionKind.KLEIN_GORDON_POSITIVE, ks, units)
-    bracket = _kernels.pair_density(amps, ks, np.asarray(omegas), grid.points, float(t))
+    bracket = _pair_density(amps, ks, np.asarray(omegas), grid.points, float(t))
     rho = (units.hbar / (units.m * units.c**2)) * bracket
     idx = int(np.argmin(rho))
     return SuperpositionDensity(rho=rho, minimum=float(rho[idx]), argmin_x=float(grid.points[idx]))
@@ -250,12 +257,6 @@ class TwoModeSpec:
             raise ValueError(f"amplitudes must satisfy |a1|^2 + |a2|^2 = 1, got {total}")
 
 
-def _check_two_mode_omegas(spec: TwoModeSpec, units: UnitSystem) -> None:
-    cutoff = units.rest_omega * (1.0 - 1e-12)
-    if spec.omega1 < cutoff or spec.omega2 < cutoff:
-        raise ValueError("two-mode frequencies must sit on or above the rest frequency")
-
-
 def two_mode_min_density(spec: TwoModeSpec, units: UnitSystem) -> float:
     """Closed-form minimum of the two-mode density over relative phase:
 
@@ -266,17 +267,15 @@ def two_mode_min_density(spec: TwoModeSpec, units: UnitSystem) -> float:
     magnitudes and strictly negative exactly when r lies between 1 and
     omega2 / omega1.
     """
-    _check_two_mode_omegas(spec, units)
-    p1, p2 = abs(spec.a1) ** 2, abs(spec.a2) ** 2
-    cross = abs(spec.a1) * abs(spec.a2)
-    bracket = spec.omega1 * p1 + spec.omega2 * p2 - (spec.omega1 + spec.omega2) * cross
-    return units.hbar / (units.m * units.c**2) * bracket
+    return float(two_mode_density_of_phase(spec, units, np.pi))
 
 
 def two_mode_density_of_phase(spec: TwoModeSpec, units: UnitSystem,
                               phase: np.ndarray) -> np.ndarray:
     """Two-mode density as a function of the relative phase (amplitude space)."""
-    _check_two_mode_omegas(spec, units)
+    cutoff = units.rest_omega * (1.0 - 1e-12)
+    if spec.omega1 < cutoff or spec.omega2 < cutoff:
+        raise ValueError("two-mode frequencies must sit on or above the rest frequency")
     p1, p2 = abs(spec.a1) ** 2, abs(spec.a2) ** 2
     cross = abs(spec.a1) * abs(spec.a2)
     bracket = (spec.omega1 * p1 + spec.omega2 * p2

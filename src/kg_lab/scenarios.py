@@ -45,13 +45,8 @@ import numpy as np
 
 from . import __version__
 from ._floattext import format_rows
-from .dispersion import (
-    DEFAULT_GAMMA_SPREAD_TOL,
-    DispersionKind,
-    group_velocity,
-    omega,
-    unphysical_negative_branch,
-)
+from .dispersion import (DispersionKind, gamma_of_state, group_velocity, omega,
+                         unphysical_negative_branch)
 from .errors import BandwidthError, ConfigError
 from .foundation import Grid1D, UnitSystem, make_grid, state_norm
 from .observables import (
@@ -64,7 +59,7 @@ from .observables import (
     superposition_density,
     two_mode_min_density,
 )
-from .propagation import EvolutionResult, evolve
+from .propagation import evolve
 from .states import (ModeSet, PacketSpec, SpectralState, from_coefficients, gaussian_packet,
                      rest_phase_strip, superposition)
 
@@ -91,7 +86,10 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
     "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 20.0}},
     "times": [0.0],
-    "gamma_spread_tol": DEFAULT_GAMMA_SPREAD_TOL,
+    # Relative gamma spread above which the run's derived.gamma_spread_flag
+    # warns that the amended observables are suspect: the single-gamma
+    # replacement m -> gamma*m is only as good as the packet is monochromatic.
+    "gamma_spread_tol": 0.01,
     "format": "csv",
     "output": "kg-lab-out",
 }
@@ -274,10 +272,8 @@ def _initial_state(block: dict[str, Any], grid: Grid1D,
     elif "mode" in block:
         path = "state.mode"
         pairs = [(1.0, _mode_entry(block["mode"], path, {"index", "k"}, grid)[1])]
-    elif "two_mode" in block:
+    else:  # a state block names exactly one form: unknown keys are rejected
         path, tm = "state.two_mode", block["two_mode"]
-        for key in ("a1_sq", "a2_sq", "omega1", "omega2"):
-            _require_number(tm.get(key), f"{path}.{key}")
         if tm["a1_sq"] <= 0 or tm["a2_sq"] <= 0:
             raise ConfigError(f"{path}: amplitude weights must be positive")
         cutoff = units.rest_omega * (1.0 - 1e-12)
@@ -289,8 +285,6 @@ def _initial_state(block: dict[str, Any], grid: Grid1D,
             raise BandwidthError(f"{path}: frequencies resolve to the same lattice mode")
         a1, a2 = math.sqrt(tm["a1_sq"]), math.sqrt(tm["a2_sq"])
         pairs = [(a1, k1), (a2, k2)]
-    else:  # pragma: no cover - catalog defaults always carry a state block
-        raise ConfigError("state: missing state specification")
     # ModeSet rejects two entries on one lattice index, and sum |a|^2 off 1;
     # TwoModeSpec and the state check that sum again.
     try:
@@ -559,11 +553,11 @@ def _main_series(state: SpectralState, config: ScenarioConfig
                             list[DensityCurrentFields]]:
     """The frame of a one-state scenario: its series, gamma statistics and samples."""
     main, samples = _series_for(state, config)
-    fields = compute_fields(EvolutionResult(state), spread_tol=config.gamma_spread_tol)
+    stats = gamma_of_state(state)
     derived = {
-        "gamma_bar": fields.gamma_bar,
-        "gamma_spread": fields.gamma_spread,
-        "gamma_spread_flag": fields.gamma_spread_flag,
+        "gamma_bar": stats.gamma_bar,
+        "gamma_spread": stats.gamma_spread,
+        "gamma_spread_flag": not stats.relative_spread <= config.gamma_spread_tol,
     }
     return {"main": main}, derived, samples
 

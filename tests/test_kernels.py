@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from kg_lab import _kernels
+from kg_lab.observables import _pair_density
 
 amplitudes = st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0,
                                 allow_nan=False, allow_infinity=False)
@@ -20,7 +20,7 @@ def pair_problems(draw):
 @given(pair_problems())
 def test_pair_density_against_naive_python(problem):
     coeffs, ks, omegas, x, t = problem
-    out = _kernels.pair_density(coeffs, ks, omegas, x, t)
+    out = _pair_density(coeffs, ks, omegas, x, t)
     # Rounding scale: the summed magnitudes of all double-sum terms.
     mags = np.abs(coeffs)
     tol = 1e-12 * float(np.sum(0.5 * np.add.outer(omegas, omegas) * np.outer(mags, mags)))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kg_lab import (BandwidthError, ConfigError, compute_fields, continuity_exact, evolve,
-                    moments, state_norm)
+                    gamma_of_state, moments, state_norm)
 from kg_lab.cli import build_parser, main
 import kg_lab.scenarios
 from kg_lab.scenarios import (
@@ -194,6 +194,22 @@ def test_run_writes_expected_files(tmp_path):
         assert meta["derived"]["gamma_spread_flag"] is flag
 
 
+# branch-demo writes no derived block; every other scenario's is the gamma
+# statistics of its initial state.
+@pytest.mark.parametrize("name", [n for n in scenario_names() if n != "branch-demo"])
+def test_derived_block_is_the_initial_states_gamma_statistics(tmp_path, name):
+    # Bit for bit; and the flag is raised when the relative spread exceeds
+    # the tolerance: not at a tolerance equal to it, but at the next float
+    # below it.
+    stats = gamma_of_state(validate_config(_config_text(name)).state)
+    spread = stats.relative_spread
+    for tol, flag in ((spread, False), (math.nextafter(spread, 0.0), True)):
+        derived = run_scenario(validate_config(_config_text(name, gamma_spread_tol=tol),
+                                               output_override=str(tmp_path))).derived
+        assert (derived["gamma_bar"], derived["gamma_spread"]) == stats
+        assert derived["gamma_spread_flag"] is flag
+
+
 def test_series_columns_hold_the_named_observables(tmp_path):
     # Each column of the tables, by its name, against the observable it names.
     cfg = validate_config(_config_text("gamma-density", **SMALL),
@@ -203,7 +219,7 @@ def test_series_columns_hold_the_named_observables(tmp_path):
     for i, t in enumerate(cfg.times):
         result = evolve(cfg.state, t)
         psi = result.state.values
-        f = compute_fields(result, spread_tol=cfg.gamma_spread_tol)
+        f = compute_fields(result)
         columns = {"t": t, "x": grid.points, "re_psi": psi.real, "im_psi": psi.imag,
                    "rho_nonrel": f.rho_nonrel, "rho_kg": f.rho_kg, "rho_amended": f.rho_amended,
                    "j_std": f.j_std, "j_amended": f.j_amended}
@@ -408,6 +424,22 @@ def test_validate_and_run_reject_unresolvable_two_mode(tmp_path, capsys, two_mod
 ])
 def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, capsys, config):
     _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
+
+
+@pytest.mark.parametrize("value, message", [
+    ('{"omega1": "x"}', "state.two_mode.omega1: expected a number, got 'x'"),
+    ('{"a1_sq": null}', "state.two_mode.a1_sq: expected a number, got None"),
+    ('{"omega2": 1e999}', "state.two_mode.omega2: must be finite, got inf"),
+])
+def test_two_mode_values_that_are_not_finite_numbers_exit_2(tmp_path, capsys, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"scenario": "two-mode", "state": {"two_mode": %s}}' % value)
+    for argv in (["validate", str(cfg_path)],
+                 ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
+        assert captured.out == ""
 
 
 def test_the_removed_dt_continuity_key_is_unknown(tmp_path, capsys):
