@@ -143,11 +143,12 @@ def make_grid(n: int, length: float) -> Grid1D:
     return Grid1D(n=n, length=length, points=_readonly(points), wavenumbers=_readonly(wavenumbers))
 
 
-def _check_length(grid: Grid1D, arr: np.ndarray, name: str) -> np.ndarray:
+def _check_length(grid: Grid1D, arr: np.ndarray, name: str,
+                  dtype: type = np.complex128) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.shape != (grid.n,):
         raise ValueError(f"{name} must have shape ({grid.n},), got {arr.shape}")
-    return arr.astype(np.complex128, copy=False)
+    return arr.astype(dtype, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -181,14 +182,17 @@ def inverse_transform(grid: Grid1D, coefficients: np.ndarray) -> np.ndarray:
 def spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     """d/dx on the grid via ik multiplication in spectral space.
 
-    Real input returns the real part (the residue is rounding noise for
-    band-limited fields); complex input stays complex.
+    Complex input stays complex. Real input takes the half spectrum
+    (rfft/irfft), where the pair's +-1 twists cancel exactly and irfft
+    drops the imaginary Nyquist product, as taking the real part would.
     """
-    was_real = not np.iscomplexobj(values)
-    coefficients = forward_transform(grid, values)
-    np.multiply(1j * grid.wavenumbers, coefficients, out=coefficients)
-    out = inverse_transform(grid, coefficients)
-    return out.real if was_real else out
+    if np.iscomplexobj(values):
+        coefficients = forward_transform(grid, values)
+        np.multiply(1j * grid.wavenumbers, coefficients, out=coefficients)
+        return inverse_transform(grid, coefficients)
+    half = np.fft.rfft(_check_length(grid, values, "values", np.float64), norm="forward")
+    np.multiply(1j * grid.wavenumbers[:grid.n // 2 + 1], half, out=half)
+    return np.fft.irfft(half, grid.n, norm="forward")
 
 
 def state_norm(grid: Grid1D, values: np.ndarray) -> float:
@@ -204,16 +208,21 @@ def spectral_norm_sq(grid: Grid1D, coefficients: np.ndarray) -> float:
 
 
 def nyquist_fraction(grid: Grid1D, coefficients: np.ndarray) -> float:
-    """Amplitude fraction |a_{-n/2}| / ||a||_2 carried by the Nyquist mode."""
+    """Amplitude fraction |a_{-n/2}| / ||a||_2 carried by the Nyquist mode;
+    NaN when the norm is not finite (a NaN or infinite coefficient, or an
+    overflowing sum of squares)."""
     coefficients = np.asarray(coefficients)
-    total = float(np.linalg.norm(coefficients))
+    total = math.sqrt(np.vdot(coefficients, coefficients).real)  # one BLAS pass
+    if not math.isfinite(total):
+        return math.nan
     if total == 0.0:
         return 0.0
     return float(abs(coefficients[grid.nyquist_index]) / total)
 
 
 def check_bandwidth(grid: Grid1D, coefficients: np.ndarray) -> None:
-    """Raise BandwidthError when the Nyquist mode carries real amplitude (or NaN)."""
+    """Raise BandwidthError when the Nyquist mode carries real amplitude, or
+    the spectral norm is not finite."""
     frac = nyquist_fraction(grid, coefficients)
     if not frac <= NYQUIST_TOLERANCE:
         raise BandwidthError(

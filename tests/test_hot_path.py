@@ -3,14 +3,16 @@
 Transforms, evolve, the derivatives and the bilinears work in the one array
 each returns, and each state lineage computes its frequencies once. The
 evolution phase is exponentiated on half the lattice and mirrored, and a
-packet's carrier is evaluated only where its envelope is nonzero. These
-tests write the plain numpy expressions out (one fresh array per operation,
-over the whole grid) and require the lean steps to reproduce them exactly,
-without touching any input array.
+packet's carrier is evaluated only where its envelope is nonzero, and a
+real field's derivative takes the half spectrum. These tests write the
+plain numpy expressions out (one fresh array per operation, over the whole
+grid) and require the lean steps to reproduce them exactly, without
+touching any input array.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import kg_lab
@@ -37,7 +39,7 @@ from kg_lab import observables, propagation
 from kg_lab.foundation import _twist
 from kg_lab.scenarios import run_scenario, validate_config
 from kg_lab.states import _envelope
-from strategies import KG, KINDS, packets, states
+from strategies import KG, KINDS, NR, packets, states
 
 
 def _bits(a):
@@ -60,8 +62,14 @@ def _plain_inverse(n, coefficients):
 
 
 def _plain_derivative(grid, values):
-    out = _plain_inverse(grid.n, 1j * grid.wavenumbers * _plain_forward(grid.n, values))
-    return out if np.iscomplexobj(values) else out.real
+    return _plain_inverse(grid.n, 1j * grid.wavenumbers * _plain_forward(grid.n, values))
+
+
+# A real field's derivative on the half spectrum: the +-1 twists cancel.
+def _plain_real_derivative(grid, values):
+    n = grid.n
+    half = 1j * grid.wavenumbers[:n // 2 + 1] * np.fft.rfft(values, norm="forward")
+    return np.fft.irfft(half, n, norm="forward")
 
 
 def _plain_bilinear(prefactor, psi, d):
@@ -70,7 +78,7 @@ def _plain_bilinear(prefactor, psi, d):
 
 def _plain_continuity(rho_before, rho_after, current, dt, grid):
     drho_dt = (rho_after - rho_before) / (2.0 * dt)
-    dj_dx = _plain_derivative(grid, current)
+    dj_dx = _plain_real_derivative(grid, current)
     defect = float(np.max(np.abs(drho_dt + dj_dx)))
     return defect * grid.length / float(np.max(np.abs(current)))
 
@@ -100,7 +108,7 @@ def test_in_place_steps_equal_the_plain_expressions(state, t):
     assert _same(forward_transform(grid, psi), _plain_forward(n, psi))
     assert _same(forward_transform(grid, real), _plain_forward(n, real))
     assert _same(spectral_derivative(grid, psi), _plain_derivative(grid, psi))
-    assert _same(spectral_derivative(grid, real), _plain_derivative(grid, real))
+    assert _same(spectral_derivative(grid, real), _plain_real_derivative(grid, real))
     assert _same(state.values, psi)
     assert _same(state.density_nonrel, psi.real**2 + psi.imag**2)
 
@@ -144,6 +152,18 @@ def test_in_place_steps_equal_the_plain_expressions(state, t):
 
     for before, after in zip(kept, inputs):
         assert _same(before, after)
+
+
+@given(state=st.one_of(states(), states(band=1.0)), level=st.floats(-1e300, 1e300))
+def test_a_real_derivative_on_the_half_spectrum_matches_the_complex_pair(state, level):
+    grid, k = state.grid, state.grid.wavenumbers
+    real = np.ascontiguousarray(state.values.real)  # band-limited, Nyquist line empty
+    result = spectral_derivative(grid, real)
+    full = np.fft.ifft(1j * k * np.fft.fft(real)).real
+    assert result.dtype == np.float64 and result.shape == (grid.n,)
+    assert np.max(np.abs(result - full)) <= 1e-14 * np.max(np.abs(result))
+    # A constant field's half spectrum is its mean alone, and k_0 = 0.
+    assert not np.any(spectral_derivative(grid, np.full(grid.n, level)))
 
 
 # Packets also on a grid far beyond L2, at n = 2^16.
@@ -197,21 +217,38 @@ def _count_omega_calls(monkeypatch):
     return calls
 
 
-def test_a_kg_sweep_op_computes_omega_once(monkeypatch):
-    calls = _count_omega_calls(monkeypatch)
+def _sweep_op(kind):
+    """One packet-sweep op: build the packet, evolve, fields, the t -/+ dt
+    snapshots, the continuity residual and moments; returns the packet and
+    its evolution to t."""
     grid, dt, t = make_grid(4096, 400.0), 1e-3, 1e4
-    state = gaussian_packet(PacketSpec(10.0, 2.0, 8.0), grid, UnitSystem(1.0, 1.0, 4.0), KG)
-    # One packet-sweep op: evolve, fields, the t -/+ dt snapshots, the
-    # continuity residual and moments.
+    rho = "rho_nonrel" if kind is NR else "rho_kg"
+    state = gaussian_packet(PacketSpec(10.0, 2.0, 8.0), grid, UnitSystem(1.0, 1.0, 4.0), kind)
     result = evolve(state, t)
     fields = compute_fields(result)
-    before = compute_fields(evolve(state, t - dt)).rho_kg
-    after = compute_fields(evolve(state, t + dt)).rho_kg
+    before = getattr(compute_fields(evolve(state, t - dt)), rho)
+    after = getattr(compute_fields(evolve(state, t + dt)), rho)
     continuity_residual(before, after, fields.j_std, dt, grid)
-    moments(fields.rho_kg, grid)
+    moments(getattr(fields, rho), grid)
+    return state, result
+
+
+def test_a_kg_sweep_op_computes_omega_once(monkeypatch):
+    calls = _count_omega_calls(monkeypatch)
+    state, result = _sweep_op(KG)
     assert calls == [(KG, False)]
     assert result.state.omegas is state.omegas
-    assert evolve(result.state, -t).state.omegas is state.omegas
+    assert evolve(result.state, -result.state.time).state.omegas is state.omegas
+
+
+# The packet's forward transform; psi, dpsi/dx and (KG+) dpsi/dt at t; psi
+# and (KG+) dpsi/dt at t -/+ dt; and the real current's dj/dx on the half
+# spectrum, which the complex pair would add to the first two counts.
+@pytest.mark.parametrize("kind, inverse", [(KG, 7), (NR, 4)])
+def test_a_sweep_op_takes_dj_dx_on_the_half_spectrum(transform_calls, kind, inverse):
+    _sweep_op(kind)
+    assert dict(transform_calls) == {"forward_transform": 1, "inverse_transform": inverse,
+                                     "rfft": 1, "irfft": 1}
 
 
 def test_a_packet_continuity_run_computes_omega_once_per_lineage(monkeypatch, tmp_path):

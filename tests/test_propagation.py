@@ -1,3 +1,7 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +10,7 @@ from kg_lab import (
     DispersionKind,
     KindError,
     ModeSet,
+    UnitSystem,
     evolve,
     gaussian_packet,
     kg_residual,
@@ -16,9 +21,9 @@ from kg_lab import (
     unphysical_negative_branch,
 )
 from kg_lab.foundation import state_norm
-from kg_lab.propagation import _spectral_residual
+from kg_lab.propagation import _phase, _spectral_residual
 from kg_lab.states import PacketSpec
-from strategies import KG, KINDS, T_MAX, laws, states, times
+from strategies import KG, KINDS, NR, T_MAX, laws, states, times
 
 KLEIN_GORDON = (KG, unphysical_negative_branch())
 # Two evolves round omega t differently from one, by about omega |t| 2^-53
@@ -137,3 +142,34 @@ def test_mass_shell_residual_rejects_schrodinger(natural, grid_small):
                             DispersionKind.SCHRODINGER)
     with pytest.raises(KindError):
         kg_residual(state)
+
+
+# 2 pi to 61 significant digits, truncated.
+TWO_PI = Decimal("6.283185307179586476925286766559005768394338798750211641949889")
+
+
+def _exact_phase(w: float, t: float) -> complex:
+    """exp(-i w t) for the doubles w and t: the product is exact as a
+    Fraction, its reduction mod 2 pi into [-pi, pi] holds 60 digits, and
+    only the reduced angle is rounded to a double."""
+    product = Fraction(w) * Fraction(t)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        angle = Decimal(product.numerator) / Decimal(product.denominator)
+        angle -= TWO_PI * (angle / TWO_PI).to_integral_value()
+    reduced = float(angle)
+    return complex(math.cos(reduced), -math.sin(reduced))
+
+
+@pytest.mark.parametrize("kind", [KG, NR])
+@pytest.mark.parametrize("t", [1.0, 1e3, 1e6, 1e9])
+def test_the_phase_is_exact_to_the_rounding_of_omega_t(kind, t):
+    # The default packet grid's 40 heaviest modes. The double omega * t is
+    # off by up to |omega t| 2^-53, and exp adds rounding of its own.
+    omegas = omega(kind, make_grid(4096, 400.0).wavenumbers, UnitSystem(1.0, 1.0, 4.0))
+    heaviest = np.argsort(np.abs(omegas))[-40:]
+    phase = _phase(omegas, t)
+    for j in heaviest.tolist():
+        w = float(omegas[j])
+        error = abs(complex(phase[j]) - _exact_phase(w, t))
+        assert error <= abs(w * t) * 2.0**-52 + 4 * 2.0**-53, (j, error)

@@ -599,10 +599,11 @@ def test_a_bad_config_file_exits_2_without_a_traceback(tmp_path, capsys, text):
 # time t, per series, plus nonrel-limit's strip-time evolves: four, less the
 # base-unit KG+ one when strip_time is a sample time, as by default.
 # validate builds every initial state and the runners re-tag its
-# coefficients. Transforms per sample: one inverse each for psi, dpsi/dt,
-# dpsi/dx and the continuity defect's psi_tt, and a forward and an inverse
-# for its spectral dj/dx; packet-continuity's amended defect takes dj/dx
-# of its own current. nonrel-limit also reads psi of each strip-time evolve.
+# coefficients. Complex transforms per sample: one inverse each for psi,
+# dpsi/dt, dpsi/dx and the continuity defect's psi_tt. The defect's dj/dx
+# of the real current is one rfft and one irfft; packet-continuity's
+# amended defect takes dj/dx of its own current. nonrel-limit also reads
+# psi of each strip-time evolve.
 EVOLVE_CALLS = {
     "packet-continuity": 6,
     "gamma-density": 1,
@@ -612,42 +613,35 @@ EVOLVE_CALLS = {
     "superposition-scan": 3,
     "nonrel-limit": 4,
 }
+# (forward_transform + inverse_transform, rfft + irfft) per catalog pass.
 TRANSFORM_CALLS = {
-    "packet-continuity": 48,
-    "gamma-density": 6,
-    "amended": 6,
-    "branch-demo": 12,
-    "two-mode": 6,
-    "superposition-scan": 18,
-    "nonrel-limit": 9,
+    "packet-continuity": (24, 24),
+    "gamma-density": (4, 2),
+    "amended": (4, 2),
+    "branch-demo": (8, 4),
+    "two-mode": (4, 2),
+    "superposition-scan": (12, 6),
+    "nonrel-limit": (7, 2),
 }
 
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_each_sample_is_evolved_once(tmp_path, monkeypatch, name):
-    calls, transforms = [], []
+def test_each_sample_is_evolved_once(tmp_path, monkeypatch, transform_calls, name):
+    calls = []
     evolve = kg_lab.scenarios.evolve
 
     def counting_evolve(state, t):
         calls.append(t)
         return evolve(state, t)
 
-    def counting(transform):
-        def wrapped(*args):
-            transforms.append(transform.__name__)
-            return transform(*args)
-        return wrapped
-
     monkeypatch.setattr(kg_lab.scenarios, "evolve", counting_evolve)
-    for module in (kg_lab.foundation, kg_lab.states, kg_lab.propagation, kg_lab.observables):
-        for transform in ("forward_transform", "inverse_transform"):
-            if hasattr(module, transform):
-                monkeypatch.setattr(module, transform, counting(getattr(module, transform)))
     config = validate_config(json.dumps(default_config(name)), output_override=str(tmp_path))
-    transforms.clear()  # validate builds the initial state; count the run alone
+    transform_calls.clear()  # validate builds the initial state; count the run alone
     run_scenario(config)
     assert len(calls) == EVOLVE_CALLS[name]
-    assert len(transforms) == TRANSFORM_CALLS[name]
+    assert transform_calls["rfft"] == transform_calls["irfft"]
+    assert (transform_calls["forward_transform"] + transform_calls["inverse_transform"],
+            transform_calls["rfft"] + transform_calls["irfft"]) == TRANSFORM_CALLS[name]
 
 
 def test_nonrel_limit_gaps_do_not_depend_on_the_sample_times(tmp_path):
