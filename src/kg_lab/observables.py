@@ -31,7 +31,7 @@ from .dispersion import DispersionKind, GammaStats, gamma_of_state, omega
 from .errors import KindError
 from .foundation import Grid1D, UnitSystem, _readonly, inverse_transform, spectral_derivative
 from .propagation import EvolutionResult
-from .states import ModeSet
+from .states import ModeSet, _lattice_index
 
 _IMAG_RESIDUE_TOL = 1e-12
 
@@ -184,27 +184,6 @@ def continuity_residual(rho_before: np.ndarray, rho_after: np.ndarray,
     return defect * grid.length / scale
 
 
-def _pair_density(coefficients: np.ndarray, wavenumbers: np.ndarray,
-                  omegas: np.ndarray, positions: np.ndarray, t: float) -> np.ndarray:
-    """Pair-wise density sum (no physical prefactor):
-
-        s(x) = sum_j omega_j |A_j|^2
-             + sum_{j<k} (omega_j + omega_k) Re[A_j A_k* e^{i phi_jk(x,t)}]
-
-    with phi_jk = (k_j - k_k) x - (omega_j - omega_k) t. O(n_x * n_modes^2):
-    it loops over the mode pairs, which are few in practice (2 to a few
-    dozen modes), and vectorizes over positions.
-    """
-    m = coefficients.shape[0]
-    out = np.full(positions.shape[0], float(np.sum(omegas * np.abs(coefficients) ** 2)))
-    for j in range(m):
-        for l in range(j + 1, m):
-            z = coefficients[j] * np.conj(coefficients[l])
-            phase = (wavenumbers[j] - wavenumbers[l]) * positions - (omegas[j] - omegas[l]) * t
-            out += (omegas[j] + omegas[l]) * (z.real * np.cos(phase) - z.imag * np.sin(phase))
-    return out
-
-
 class SuperpositionDensity(NamedTuple):
     """Amplitude-space density profile with its grid minimum."""
 
@@ -215,23 +194,35 @@ class SuperpositionDensity(NamedTuple):
 
 def superposition_density(modes: ModeSet, t: float, grid: Grid1D,
                           units: UnitSystem) -> SuperpositionDensity:
-    """Density of a lattice superposition evaluated directly in amplitude space:
+    """Density of a lattice superposition evaluated directly in amplitude space.
+
+    psi = sum_j A_j e^{i(k_j x - omega_j t)} and dpsi/dt, the same sum with
+    each term times -i omega_j, are summed mode by mode (A_j = a_j / sqrt(L),
+    k_j on the lattice, as in superposition) and handed to density_kg.
+    Expanded over mode pairs,
 
         rho(x) = (hbar / m c^2) [ sum_j omega_j |A_j|^2
                  + sum_{j<l} (omega_j + omega_l) Re(A_j A_l* e^{i phi_jl}) ]
 
-    with A_j = a_j / sqrt(L) and phi_jl the full phase difference between
-    the modes at (x, t). No transform is involved, which makes this an
-    independent cross-check of density_kg on the same state; the two agree
-    elementwise to rounding. The positive branch supplies every omega.
+    with phi_jl the phase difference of modes j and l at (x, t): the cross
+    terms are what can drive rho negative. No transform is involved, so this
+    cross-checks density_kg of the evolved state; the two agree to rounding.
+    The positive branch supplies every omega.
     """
-    ks = modes.wavenumbers
-    for k in ks:
-        grid.wavenumber_index(float(k))  # off-lattice modes cannot be cross-checked
+    ks = grid.wavenumbers[_lattice_index(modes, grid)]
     amps = modes.amplitudes / math.sqrt(grid.length)
     omegas = omega(DispersionKind.KLEIN_GORDON_POSITIVE, ks, units)
-    bracket = _pair_density(amps, ks, np.asarray(omegas), grid.points, float(t))
-    rho = (units.hbar / (units.m * units.c**2)) * bracket
+    x, t = grid.points, float(t)
+    psi, dpsi_dt = np.zeros((2, grid.n), dtype=np.complex128)
+    wave = np.empty(grid.n, dtype=np.complex128)
+    for a, k, w in zip(amps.tolist(), ks.tolist(), omegas.tolist()):
+        np.multiply(1j, k * x - w * t, out=wave)
+        np.exp(wave, out=wave)
+        wave *= a
+        psi += wave
+        wave *= -1j * w
+        dpsi_dt += wave
+    rho = density_kg(psi, dpsi_dt, units)
     idx = int(np.argmin(rho))
     return SuperpositionDensity(rho=rho, minimum=float(rho[idx]), argmin_x=float(grid.points[idx]))
 

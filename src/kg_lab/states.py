@@ -200,6 +200,14 @@ class ModeSet:
         return np.array([k for _, k in self.modes], dtype=np.float64)
 
 
+def _lattice_index(modes: ModeSet, grid: Grid1D) -> list[int]:
+    """Lattice position of each mode; ValueError when two modes share one."""
+    index = [grid.wavenumber_index(k) for _, k in modes.modes]
+    if len(set(index)) != len(index):
+        raise ValueError("mode wavenumbers collide on the lattice")
+    return index
+
+
 def superposition(modes: ModeSet, grid: Grid1D, units: UnitSystem,
                   kind: DispersionKind) -> SpectralState:
     """State from lattice modes; box-normalized so a_j maps to a_j / sqrt(L).
@@ -209,12 +217,7 @@ def superposition(modes: ModeSet, grid: Grid1D, units: UnitSystem,
     """
     coefficients = np.zeros(grid.n, dtype=np.complex128)
     root_l = math.sqrt(grid.length)
-    seen = set()
-    for amp, k in modes.modes:
-        idx = grid.wavenumber_index(k)
-        if idx in seen:
-            raise ValueError("mode wavenumbers collide on the lattice")
-        seen.add(idx)
+    for idx, (amp, _) in zip(_lattice_index(modes, grid), modes.modes):
         coefficients[idx] = amp / root_l
     return from_coefficients(grid, units, kind, coefficients, time=0.0)
 

@@ -19,6 +19,32 @@ with warnings.catch_warnings():
         pass
 
 
+# Tier-1 stays free of skips: a skipped test checks nothing while the
+# suite still reads green, so any skip, at collection or at run time, fails
+# the session.
+_skipped: list[str] = []
+
+
+def pytest_runtest_logreport(report):
+    if report.skipped:
+        _skipped.append(report.nodeid)
+
+
+pytest_collectreport = pytest_runtest_logreport
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _skipped and exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _skipped:
+        terminalreporter.write_sep("=", "skipped tests fail the suite", red=True)
+        for nodeid in _skipped:
+            terminalreporter.write_line(nodeid)
+
+
 @pytest.fixture
 def natural():
     return UnitSystem.natural()

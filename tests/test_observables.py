@@ -35,7 +35,7 @@ from kg_lab import observables
 from kg_lab.foundation import spectral_derivative
 from kg_lab.observables import _real_part
 from kg_lab.states import SUPPORT_SIGMAS, PacketSpec
-from strategies import laws, states, times, units
+from strategies import grids, laws, seeds, states, times, units
 
 KG = DispersionKind.KLEIN_GORDON_POSITIVE
 NR = DispersionKind.SCHRODINGER
@@ -324,16 +324,65 @@ def test_continuity_residual_degenerate_cases(grid_small):
         continuity_residual(zero, zero, zero, 0.0, grid_small)
 
 
-def test_superposition_density_matches_state_route(natural):
-    rng = np.random.default_rng(22)
-    grid = make_grid(256, 100.0)
-    for n_modes in (2, 4, 8):
-        ms = _random_mode_set(rng, grid, n_modes)
-        t = float(rng.uniform(0.0, 5.0))
-        sd = superposition_density(ms, t, grid, natural)
-        result = evolve(superposition(ms, grid, natural, KG), t)
-        rho_state = density_kg(result.state.values, result.dpsi_dt, natural)
-        assert np.max(np.abs(sd.rho - rho_state)) <= 1e-10 * np.max(np.abs(rho_state))
+@st.composite
+def lattice_mode_sets(draw, max_modes):
+    """A grid and a unit-norm set of 1 to max_modes of its lattice modes."""
+    grid = draw(grids())
+    n_modes = draw(st.integers(1, min(max_modes, grid.n - 1)))
+    return grid, _random_mode_set(np.random.default_rng(draw(seeds)), grid, n_modes)
+
+
+@laws
+@given(lattice_mode_sets(64), st.floats(0.0, 50.0), st.sampled_from([0.0, 5e-10, -5e-10]))
+def test_superposition_density_matches_state_route(problem, t, offset):
+    # A wavenumber 5e-10 off its lattice value passes the lattice check;
+    # both routes must then take the lattice mode, not the raw k.
+    grid, ms = problem
+    ms = ModeSet([(a, k * (1.0 + offset)) for a, k in ms.modes])
+    natural = UnitSystem.natural()
+    sd = superposition_density(ms, t, grid, natural)
+    result = evolve(superposition(ms, grid, natural, KG), t)
+    rho_state = density_kg(result.state.values, result.dpsi_dt, natural)
+    assert np.max(np.abs(sd.rho - rho_state)) <= 1e-10 * np.max(np.abs(rho_state))
+
+
+@laws
+@given(lattice_mode_sets(6), units, times, st.data())
+def test_superposition_density_against_naive_double_sum(problem, u, t, data):
+    grid, ms = problem
+    sd = superposition_density(ms, t, grid, u)
+    amps, ks = ms.amplitudes / math.sqrt(grid.length), ms.wavenumbers
+    omegas = np.sqrt((u.c * ks) ** 2 + (u.m * u.c**2 / u.hbar) ** 2)
+    prefactor = u.hbar / (u.m * u.c**2)
+    # Rounding scale: the summed magnitudes of all double-sum terms, widened
+    # by the rounding of the largest single-mode phase k x - omega t.
+    mags = np.abs(amps)
+    size = prefactor * float(np.sum(0.5 * np.add.outer(omegas, omegas) * np.outer(mags, mags)))
+    phase = float(np.max(np.abs(ks) * 0.5 * grid.length + omegas * abs(t)))
+    tol = size * (1e-12 + 1e-14 * phase)
+    m = len(ks)
+    for i in data.draw(st.lists(st.integers(0, grid.n - 1), min_size=1, max_size=4)):
+        x = grid.points[i]
+        # Full double sum: s = sum_{j,l} (omega_j + omega_l)/2 A_j A_l* e^{i phi};
+        # the diagonal reproduces the j < l form plus the static term.
+        s = 0.0
+        for j in range(m):
+            for l in range(m):
+                phi = (ks[j] - ks[l]) * x - (omegas[j] - omegas[l]) * t
+                s += 0.5 * (omegas[j] + omegas[l]) * (
+                    amps[j] * np.conj(amps[l]) * np.exp(1j * phi)
+                ).real
+        assert abs(sd.rho[i] - prefactor * s) <= tol
+
+
+def test_superposition_density_rejects_colliding_modes(natural):
+    grid = make_grid(1024, 400.0)
+    k = float(grid.wavenumbers[40])
+    ms = ModeSet([(math.sqrt(0.5), k), (math.sqrt(0.5), k + 1e-11)])
+    for build in (lambda: superposition(ms, grid, natural, KG),
+                  lambda: superposition_density(ms, 0.0, grid, natural)):
+        with pytest.raises(ValueError, match="collide on the lattice"):
+            build()
 
 
 def test_superposition_density_minimum_fields(natural):

@@ -796,6 +796,12 @@ def test_validate_and_run_agree_on_every_state_block(config):
         cfg_path.write_text(json.dumps(config))
         validated = _cli(["validate", str(cfg_path)])
         ran = _cli(["run", str(cfg_path), "--out", str(Path(tmp) / "out"), "--quiet"])
+        if config["scenario"] == "superposition-scan" and ran[0] == 0:
+            out = Path(tmp) / "out"
+            run = json.loads((out / "superposition-scan_run.json").read_text())
+            rho = np.loadtxt(out / "superposition-scan_fields.csv", delimiter=",", skiprows=1,
+                             usecols=FIELD_COLUMNS.index("rho_kg"))
+            assert run["results"]["amplitude_vs_state_max_diff"] <= 1e-10 * np.max(np.abs(rho))
     assert validated[0] == ran[0]
     for code, out, err in (validated, ran):
         if code != 0:
