@@ -64,19 +64,22 @@ def group_velocity(kind: DispersionKind, k: ArrayOrFloat, units: UnitSystem) -> 
     return float(out) if np.isscalar(k) else out
 
 
+def _below_rest_frequency(w: ArrayOrFloat, units: UnitSystem) -> bool:
+    """Whether any w lies below the rest frequency, less the hair of rounding
+    slack that lets omega(k=0) itself pass."""
+    return bool(np.any(np.asarray(w) < units.rest_omega * (1.0 - 1e-12)))
+
+
 def gamma_of_omega(omega_value: ArrayOrFloat, units: UnitSystem) -> ArrayOrFloat:
     """Lorentz factor hbar*omega / (m c^2) of a positive-branch frequency.
 
     Frequencies below the rest frequency have no Lorentz factor; they are
-    rejected rather than clamped. A hair of rounding slack is allowed so
-    omega(k=0) itself always passes.
+    rejected rather than clamped.
     """
     w = np.asarray(omega_value, dtype=np.float64)
-    cutoff = units.rest_omega
-    if np.any(w < cutoff * (1.0 - 1e-12)):
-        bad = float(np.min(w))
+    if _below_rest_frequency(w, units):
         raise ValueError(
-            f"omega {bad} is below the rest frequency {cutoff}; "
+            f"omega {float(np.min(w))} is below the rest frequency {units.rest_omega}; "
             "the Lorentz factor is defined on the positive branch only"
         )
     out = units.hbar * w / (units.m * units.c**2)

@@ -11,8 +11,10 @@ density and the standard current by the spectral-mean Lorentz factor,
 restoring psi* psi for narrow spectra while keeping the continuity
 equation intact (the rescaling is a constant).
 
-continuity_exact takes drho/dt exactly, so its defect is rounding alone;
-continuity_residual takes a centered difference, whose defect is O(dt^2).
+continuity_exact takes drho/dt exactly, by one identity for every kind; it
+never reads omega or t, so its defect is the aliasing and rounding of the
+current's derivative, not the dynamics, and NaN for the amended pair where
+gamma_bar is. continuity_residual takes a centered difference: O(dt^2).
 
 compute_fields computes nothing itself: each field of the returned
 DensityCurrentFields is computed on first read, so a density-only
@@ -27,45 +29,33 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import DispersionKind, GammaStats, gamma_of_state, omega
-from .errors import KindError
+from .dispersion import (DispersionKind, GammaStats, _below_rest_frequency, gamma_of_state,
+                         omega)
 from .foundation import Grid1D, UnitSystem, _readonly, inverse_transform, spectral_derivative
 from .propagation import EvolutionResult
-from .states import ModeSet, _lattice_index
-
-_IMAG_RESIDUE_TOL = 1e-12
+from .states import ModeSet, _lattice_modes
 
 
-def _real_part(z: np.ndarray, what: str) -> np.ndarray:
-    """Drop the imaginary residue of an analytically real field, loudly."""
-    worst = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(z.real))) if z.size else 0.0)
-    if worst > _IMAG_RESIDUE_TOL * scale:
-        raise AssertionError(f"{what} has imaginary residue {worst:.3e}; expected real")
-    return np.ascontiguousarray(z.real)
-
-
-def _bilinear(prefactor: complex, psi: np.ndarray, d: np.ndarray, what: str) -> np.ndarray:
-    """prefactor * (conj(psi) d - psi conj(d)) of complex arrays, in two arrays."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    d = np.asarray(d, dtype=np.complex128)
-    z = np.conj(psi)
-    np.multiply(z, d, out=z)
-    w = np.conj(d)
-    np.multiply(psi, w, out=w)
-    np.subtract(z, w, out=z)
-    np.multiply(prefactor, z, out=z)
-    return _real_part(z, what)
+def _bilinear(prefactor: complex, psi: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """prefactor * (conj(psi) d - psi conj(d)) for a pure-imaginary prefactor:
+    the bracket is exactly 2i Im(conj(psi) d). Adding 0.0 turns -0.0 into the
+    +0.0 that the complex product gives."""
+    z = np.conj(np.asarray(psi, dtype=np.complex128))
+    z *= d
+    out = z.imag * 2.0
+    out *= -prefactor.imag
+    out += 0.0
+    return out
 
 
 def density_kg(psi: np.ndarray, dpsi_dt: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Conserved Klein-Gordon density; the formula is branch-agnostic."""
-    return _bilinear(-units.hbar / (2j * units.m * units.c**2), psi, dpsi_dt, "density")
+    return _bilinear(-units.hbar / (2j * units.m * units.c**2), psi, dpsi_dt)
 
 
 def current_std(psi: np.ndarray, dpsi_dx: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Standard probability current, shared by both wave equations."""
-    return _bilinear(units.hbar / (2j * units.m), psi, dpsi_dx, "current")
+    return _bilinear(units.hbar / (2j * units.m), psi, dpsi_dx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,21 +123,21 @@ def compute_fields(result: EvolutionResult) -> DensityCurrentFields:
 
 
 def continuity_exact(fields: DensityCurrentFields, amended: bool = False) -> float:
-    """Exact-in-time continuity defect of a Klein-Gordon state's conserved
-    pair (rho_kg, j_std), or of its amended pair:
+    """Exact-in-time continuity defect of a state's conserved pair
+    (rho_kg, j_std), or of its amended pair:
 
         max|drho/dt + dj/dx| / ((hbar / m) max|psi| max|psi_xx|)
 
-    drho/dt is the density bilinear with psi_tt = c^2 psi_xx for dpsi/dt
-    (psi_tt's rest term drops out of it exactly); dj/dx is spectral. The
-    scale, the size of the terms that cancel, is 0 only for a constant psi.
-    The amended pair divides rate, current and scale by gamma_bar. Modes
-    past half the bandwidth alias the current. Schrodinger states raise
-    KindError.
+    drho/dt is the density bilinear with c^2 psi_xx for dpsi/dt: for KG+ and
+    KG- psi_tt's rest term drops out of it exactly; for Schrodinger it is
+    exactly 2 Re(psi* psi_t). dj/dx is spectral. No omega or t is read, so
+    the defect measures the aliasing and rounding of the current's
+    derivative, not the dynamics; modes past half the bandwidth alias the
+    current. The scale, the size of the terms that cancel, is 0 only for a
+    constant psi. The amended pair divides rate, current and scale by
+    gamma_bar, and is NaN wherever gamma_bar is.
     """
     state = fields.result.state
-    if state.kind is DispersionKind.SCHRODINGER:
-        raise KindError("the exact continuity defect is defined for Klein-Gordon states")
     gamma = fields.gamma_bar if amended else 1.0
     units, psi_tt = state.units, fields._psi_tt
     work = density_kg(state.values, psi_tt, units)
@@ -197,8 +187,8 @@ def superposition_density(modes: ModeSet, t: float, grid: Grid1D,
     """Density of a lattice superposition evaluated directly in amplitude space.
 
     psi = sum_j A_j e^{i(k_j x - omega_j t)} and dpsi/dt, the same sum with
-    each term times -i omega_j, are summed mode by mode (A_j = a_j / sqrt(L),
-    k_j on the lattice, as in superposition) and handed to density_kg.
+    each term times -i omega_j, are summed mode by mode (A_j = a_j / sqrt(L)
+    and k_j from superposition's lattice helper) and handed to density_kg.
     Expanded over mode pairs,
 
         rho(x) = (hbar / m c^2) [ sum_j omega_j |A_j|^2
@@ -209,13 +199,13 @@ def superposition_density(modes: ModeSet, t: float, grid: Grid1D,
     cross-checks density_kg of the evolved state; the two agree to rounding.
     The positive branch supplies every omega.
     """
-    ks = grid.wavenumbers[_lattice_index(modes, grid)]
-    amps = modes.amplitudes / math.sqrt(grid.length)
+    index, amps = _lattice_modes(modes, grid)
+    ks = grid.wavenumbers[index]
     omegas = omega(DispersionKind.KLEIN_GORDON_POSITIVE, ks, units)
     x, t = grid.points, float(t)
     psi, dpsi_dt = np.zeros((2, grid.n), dtype=np.complex128)
     wave = np.empty(grid.n, dtype=np.complex128)
-    for a, k, w in zip(amps.tolist(), ks.tolist(), omegas.tolist()):
+    for a, k, w in zip(amps, ks.tolist(), omegas.tolist()):
         np.multiply(1j, k * x - w * t, out=wave)
         np.exp(wave, out=wave)
         wave *= a
@@ -264,8 +254,7 @@ def two_mode_min_density(spec: TwoModeSpec, units: UnitSystem) -> float:
 def two_mode_density_of_phase(spec: TwoModeSpec, units: UnitSystem,
                               phase: np.ndarray) -> np.ndarray:
     """Two-mode density as a function of the relative phase (amplitude space)."""
-    cutoff = units.rest_omega * (1.0 - 1e-12)
-    if spec.omega1 < cutoff or spec.omega2 < cutoff:
+    if _below_rest_frequency((spec.omega1, spec.omega2), units):
         raise ValueError("two-mode frequencies must sit on or above the rest frequency")
     p1, p2 = abs(spec.a1) ** 2, abs(spec.a2) ** 2
     cross = abs(spec.a1) * abs(spec.a2)

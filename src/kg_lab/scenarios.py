@@ -45,8 +45,8 @@ import numpy as np
 
 from . import __version__
 from ._floattext import format_rows
-from .dispersion import (DispersionKind, gamma_of_state, group_velocity, omega,
-                         unphysical_negative_branch)
+from .dispersion import (DispersionKind, _below_rest_frequency, gamma_of_state, group_velocity,
+                         omega, unphysical_negative_branch)
 from .errors import BandwidthError, ConfigError
 from .foundation import Grid1D, UnitSystem, make_grid, state_norm
 from .observables import (
@@ -191,7 +191,7 @@ def _lattice_k(grid: Grid1D, index: int, path: str) -> float:
         raise BandwidthError(
             f"{path}: mode index {index} outside the open lattice range ({-half}, {half})"
         )
-    return 2.0 * math.pi * index / grid.length
+    return float(grid.wavenumbers[index])
 
 
 def _two_mode_k(grid: Grid1D, units: UnitSystem, w: float, path: str) -> float:
@@ -212,7 +212,7 @@ def _two_mode_k(grid: Grid1D, units: UnitSystem, w: float, path: str) -> float:
 def _mode_entry(entry: Any, path: str, keys: set[str],
                 grid: Grid1D) -> tuple[dict[str, Any], float]:
     """Check one mode entry: the entry with its amplitudes defaulted, and the
-    lattice wavenumber 2 pi j / L that its index or its k names."""
+    grid's lattice wavenumber that its index or its k names."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(entry) - keys
@@ -276,8 +276,7 @@ def _initial_state(block: dict[str, Any], grid: Grid1D,
         path, tm = "state.two_mode", block["two_mode"]
         if tm["a1_sq"] <= 0 or tm["a2_sq"] <= 0:
             raise ConfigError(f"{path}: amplitude weights must be positive")
-        cutoff = units.rest_omega * (1.0 - 1e-12)
-        if tm["omega1"] < cutoff or tm["omega2"] < cutoff:
+        if _below_rest_frequency((tm["omega1"], tm["omega2"]), units):
             raise ConfigError(f"{path}: frequencies must lie on or above the rest frequency")
         k1, k2 = (_two_mode_k(grid, units, float(tm[w]), f"{path}.{w}")
                   for w in ("omega1", "omega2"))

@@ -200,12 +200,14 @@ class ModeSet:
         return np.array([k for _, k in self.modes], dtype=np.float64)
 
 
-def _lattice_index(modes: ModeSet, grid: Grid1D) -> list[int]:
-    """Lattice position of each mode; ValueError when two modes share one."""
+def _lattice_modes(modes: ModeSet, grid: Grid1D) -> tuple[list[int], list[complex]]:
+    """Each mode's lattice position and its box amplitude a_j / sqrt(L);
+    ValueError when two modes share a position."""
     index = [grid.wavenumber_index(k) for _, k in modes.modes]
     if len(set(index)) != len(index):
         raise ValueError("mode wavenumbers collide on the lattice")
-    return index
+    root_l = math.sqrt(grid.length)
+    return index, [amp / root_l for amp, _ in modes.modes]
 
 
 def superposition(modes: ModeSet, grid: Grid1D, units: UnitSystem,
@@ -215,10 +217,9 @@ def superposition(modes: ModeSet, grid: Grid1D, units: UnitSystem,
     Every wavenumber must sit exactly on the grid lattice (BandwidthError
     otherwise), so the spectral array has one nonzero entry per mode.
     """
+    index, amps = _lattice_modes(modes, grid)
     coefficients = np.zeros(grid.n, dtype=np.complex128)
-    root_l = math.sqrt(grid.length)
-    for idx, (amp, _) in zip(_lattice_index(modes, grid), modes.modes):
-        coefficients[idx] = amp / root_l
+    coefficients[index] = amps
     return from_coefficients(grid, units, kind, coefficients, time=0.0)
 
 

@@ -264,6 +264,28 @@ def test_branch_demo_writes_both_branches(tmp_path):
     assert ratios["negative"]["density_ratio_mean"][0] == pytest.approx(-1.25, abs=1e-12)
 
 
+# Where each scenario's _run.json reports its modes' k and omega.
+REALIZED_LATTICE = {
+    "two-mode": lambda results: (results["realized_lattice"], ("k1", "k2"), ("omega1", "omega2")),
+    "branch-demo": lambda results: (results, ("mode_k",), ("mode_omega",)),
+}
+
+
+@pytest.mark.parametrize("name", list(REALIZED_LATTICE))
+def test_run_json_reports_the_lattice_the_state_evolves_with(tmp_path, name):
+    # Each reported k is the grid's lattice wavenumber and each omega the
+    # state's own frequency at that position, bit for bit.
+    cfg = validate_config(_config_text(name), output_override=str(tmp_path))
+    run_scenario(cfg)
+    results = json.loads((tmp_path / f"{name}_run.json").read_text())["results"]
+    block, k_keys, omega_keys = REALIZED_LATTICE[name](results)
+    index = [cfg.grid.wavenumber_index(k) for _, k in cfg.modes.modes]
+    assert sorted(index) == np.flatnonzero(cfg.state.coefficients).tolist()
+    bits = lambda values: np.array(values, dtype=np.float64).view(np.uint64).tolist()
+    assert bits([block[key] for key in k_keys]) == bits(cfg.grid.wavenumbers[index])
+    assert bits([block[key] for key in omega_keys]) == bits(cfg.state.omegas[index])
+
+
 def test_run_is_deterministic(tmp_path):
     text = _config_text("gamma-density", **SMALL)
     cfg = validate_config(text, output_override=str(tmp_path))
