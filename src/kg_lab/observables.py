@@ -31,7 +31,8 @@ import numpy as np
 
 from .dispersion import (DispersionKind, GammaStats, _below_rest_frequency, gamma_of_state,
                          omega)
-from .foundation import Grid1D, UnitSystem, _readonly, inverse_transform, spectral_derivative
+from .foundation import (Grid1D, UnitSystem, _finite, _readonly, inverse_transform,
+                         spectral_derivative)
 from .propagation import EvolutionResult
 from .states import ModeSet, _lattice_modes
 
@@ -230,10 +231,10 @@ class TwoModeSpec:
         a1, a2 = complex(self.a1), complex(self.a2)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
-        if not all(map(math.isfinite, (a1.real, a1.imag, a2.real, a2.imag,
-                                       self.omega1, self.omega2))):
+        if not all(map(_finite, (a1.real, a1.imag, a2.real, a2.imag,
+                                  self.omega1, self.omega2))):
             raise ValueError("two-mode parameters must be finite")
-        total = abs(a1) ** 2 + abs(a2) ** 2
+        total = a1.real * a1.real + a1.imag * a1.imag + a2.real * a2.real + a2.imag * a2.imag
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"amplitudes must satisfy |a1|^2 + |a2|^2 = 1, got {total}")
 

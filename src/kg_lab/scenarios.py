@@ -48,7 +48,7 @@ from ._floattext import format_rows
 from .dispersion import (DispersionKind, _below_rest_frequency, gamma_of_state, group_velocity,
                          omega, unphysical_negative_branch)
 from .errors import BandwidthError, ConfigError
-from .foundation import Grid1D, UnitSystem, make_grid, state_norm
+from .foundation import Grid1D, UnitSystem, _finite, make_grid, state_norm
 from .observables import (
     DensityCurrentFields,
     SuperpositionDensity,
@@ -106,7 +106,7 @@ def _require_number(value: Any, path: str, *, integer: bool = False) -> float:
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     if integer and not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if not math.isfinite(value):
+    if not _finite(value):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     return value
 

@@ -22,11 +22,11 @@ from .foundation import (
     NYQUIST_TOLERANCE,
     Grid1D,
     UnitSystem,
+    _finite,
+    _parseval,
     _readonly,
-    check_bandwidth,
     forward_transform,
     inverse_transform,
-    spectral_norm_sq,
     state_norm,
 )
 
@@ -51,10 +51,14 @@ class SpectralState:
         coefficients = np.asarray(self.coefficients, dtype=np.complex128)
         if coefficients.shape != (self.grid.n,):
             raise ValueError("coefficients must match the grid size")
-        norm = spectral_norm_sq(self.grid, coefficients)
+        norm, frac = _parseval(self.grid, coefficients)
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm must be 1, got {norm}")
-        check_bandwidth(self.grid, coefficients)
+        if not frac <= NYQUIST_TOLERANCE:
+            raise BandwidthError(
+                f"Nyquist mode carries {frac:.3e} of the spectral norm "
+                f"(limit {NYQUIST_TOLERANCE:.0e}); the state is not band-limited on this grid"
+            )
         object.__setattr__(self, "coefficients", _readonly(coefficients))
         object.__setattr__(self, "time", float(self.time))
 
@@ -95,7 +99,7 @@ class PacketSpec:
 
     def __post_init__(self) -> None:
         for name in ("x0", "k0", "sigma"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
@@ -184,7 +188,7 @@ class ModeSet:
         ks = [k for _, k in cleaned]
         if len(set(ks)) != len(ks):
             raise ValueError("mode wavenumbers must be distinct")
-        total = sum(abs(a) ** 2 for a, _ in cleaned)
+        total = sum(a.real * a.real + a.imag * a.imag for a, _ in cleaned)
         if abs(total - 1.0) > _UNITARITY_TOL:
             raise ValueError(
                 f"mode amplitudes must satisfy sum |a|^2 = 1 (unitarity), got {total}"

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kg_lab import BandwidthError, UnitSystem, make_grid
+from kg_lab import BandwidthError, UnitSystem, from_coefficients, make_grid
 from kg_lab.foundation import (
     LATTICE_TOLERANCE,
-    check_bandwidth,
     forward_transform,
     inverse_transform,
     nyquist_fraction,
@@ -16,7 +15,7 @@ from kg_lab.foundation import (
     spectral_norm_sq,
     state_norm,
 )
-from strategies import grids, laws, seeds
+from strategies import KG, grids, laws, seeds
 
 # The grid layout law draws the widest grids make_grid admits.
 WIDE_GRIDS = grids(tuple(2**p for p in range(3, 17)), st.floats(1e-3, 1e6))
@@ -35,7 +34,8 @@ def test_unit_system_basic():
     assert (n.hbar, n.c, n.m) == (1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"),
+                                 pytest.param(10**400, id="int-past-float-range")])
 def test_unit_system_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         UnitSystem(hbar=bad, c=1.0, m=1.0)
@@ -77,7 +77,10 @@ def test_grid_rejects_bad_sizes(n):
         make_grid(n, 10.0)
 
 
-@pytest.mark.parametrize("length", [0.0, -5.0, float("nan")])
+@pytest.mark.parametrize("length", [
+    0.0, -5.0, float("nan"), pytest.param(10**400, id="int-past-float-range"),
+    # pi n / L, the Nyquist wavenumber, overflows: 2 pi / L * 0 would be NaN
+    1e-320, 5e-324])
 def test_grid_rejects_bad_length(length):
     with pytest.raises(ValueError):
         make_grid(16, length)
@@ -165,15 +168,19 @@ def test_spectral_derivative_of_sine():
 
 
 def test_nyquist_fraction_and_check():
+    # A unit-norm state's bandwidth check reads the fraction of the same sum.
     g = make_grid(16, 10.0)
     a = np.zeros(16, dtype=complex)
-    a[8] = 1.0
+    a[8] = 1.0 / math.sqrt(g.length)
     assert nyquist_fraction(g, a) == 1.0
-    with pytest.raises(BandwidthError):
-        check_bandwidth(g, a)
+    with pytest.raises(BandwidthError, match=re.escape(
+            "Nyquist mode carries 1.000e+00 of the spectral norm (limit 1e-10); "
+            "the state is not band-limited on this grid")):
+        from_coefficients(g, UnitSystem(), KG, a)
     a[8] = 0.0
-    a[1] = 1.0
-    check_bandwidth(g, a)
+    a[1] = 1.0 / math.sqrt(g.length)
+    assert nyquist_fraction(g, a) == 0.0
+    from_coefficients(g, UnitSystem(), KG, a)
 
 
 @pytest.mark.parametrize("where", [1, 8])
@@ -181,14 +188,15 @@ def test_nyquist_fraction_and_check():
                                  complex(np.nan, 0.0), 1e200])
 def test_a_non_finite_spectrum_fails_the_bandwidth_check(bad, where):
     # On the Nyquist line or off it, the fraction of a norm that is NaN,
-    # infinite or overflows is NaN, whatever the BLAS makes of inf * 0.
+    # infinite or overflows is NaN, which no tolerance admits. A state
+    # rejects such a spectrum by its norm, the first of its two checks.
     g = make_grid(16, 10.0)
     a = np.zeros(16, dtype=complex)
     a[0] = 1.0
     a[where] = bad
     assert math.isnan(nyquist_fraction(g, a))
-    with pytest.raises(BandwidthError, match="carries nan of the spectral norm"):
-        check_bandwidth(g, a)
+    with pytest.raises(ValueError, match=r"^state norm must be 1, got (nan|inf)$"):
+        from_coefficients(g, UnitSystem(), KG, a)
 
 
 @given(grid=grids(), seed=seeds, empty=st.floats(0.0, 0.9), scale=st.floats(-100.0, 100.0))

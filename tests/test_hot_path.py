@@ -261,3 +261,16 @@ def test_a_packet_continuity_run_computes_omega_once_per_lineage(monkeypatch, tm
     # velocity takes one frequency of its own.
     assert [call for call in calls if not call[1]] == [(KG, False)]
     assert [call for call in calls if call[1]] == [(KG, True)]
+
+
+def test_a_state_makes_no_blas_call(monkeypatch):
+    # At n >= 16384 a BLAS dot product wakes OpenBLAS's thread pool, whose
+    # spinning worker then holds a second core; a state's checks sum by einsum.
+    def blas(*args, **kwargs):
+        raise AssertionError("a BLAS call")
+
+    for name in ("vdot", "dot", "inner"):
+        monkeypatch.setattr(np, name, blas)
+    grid = make_grid(32768, 3200.0)
+    state = gaussian_packet(PacketSpec(10.0, 2.0, 8.0), grid, UnitSystem(1.0, 1.0, 4.0), KG)
+    assert np.isfinite(compute_fields(evolve(state, 1e4)).rho_kg).all()

@@ -446,6 +446,8 @@ def test_two_mode_min_density_is_the_closed_form_bit_for_bit(units, weight, phas
 def test_two_mode_validation(natural):
     with pytest.raises(ValueError):
         TwoModeSpec(a1=0.5, a2=0.5, omega1=1.0, omega2=5.0)  # weights sum to 0.5
+    with pytest.raises(ValueError, match="= 1, got inf$"):
+        TwoModeSpec(a1=1e200, a2=0.0, omega1=1.0, omega2=5.0)  # |a1|^2 overflows
     spec = TwoModeSpec(a1=np.sqrt(0.9), a2=np.sqrt(0.1), omega1=0.2, omega2=5.0)
     with pytest.raises(ValueError):
         two_mode_min_density(spec, natural)  # omega1 below the rest frequency

@@ -443,6 +443,14 @@ def test_validate_and_run_reject_unresolvable_two_mode(tmp_path, capsys, two_mod
     {"scenario": "packet-continuity", "times": [1e300]},  # the phase is all rounding
     # The carrier's phase 5e14 rounds in steps of ulp(5e14) = 0.0625 rad.
     {"scenario": "packet-continuity", "times": [1e14]},
+    # integers too large for a float
+    {"scenario": "packet-continuity", "grid": {"n": 10**400}},
+    {"scenario": "packet-continuity", "times": [10**400]},
+    {"scenario": "two-mode", "state": {"two_mode": {"omega1": 10**400}}},
+    # |a|^2 overflows
+    {"scenario": "superposition-scan", "state": {"modes": [{"amplitude_re": 1e300, "index": 3}]}},
+    # the Nyquist wavenumber pi n / L overflows
+    {"scenario": "packet-continuity", "grid": {"n": 8, "length": 1e-320}},
 ])
 def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, capsys, config):
     _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
@@ -810,6 +818,15 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_exit_record(code, out, err):
+    """A nonzero exit prints nothing on stdout and one JSON record on stderr."""
+    if code != 0:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+        assert out == ""
+
+
 @settings(deadline=None)  # each example writes files
 @given(state_blocks())
 def test_validate_and_run_agree_on_every_state_block(config):
@@ -825,9 +842,50 @@ def test_validate_and_run_agree_on_every_state_block(config):
                              usecols=FIELD_COLUMNS.index("rho_kg"))
             assert run["results"]["amplitude_vs_state_max_diff"] <= 1e-10 * np.max(np.abs(rho))
     assert validated[0] == ran[0]
-    for code, out, err in (validated, ran):
-        if code != 0:
-            lines = err.splitlines()
-            assert len(lines) == 1
-            assert set(json.loads(lines[0])) == {"error", "message"}
-            assert out == ""
+    for result in (validated, ran):
+        _assert_exit_record(*result)
+
+
+def _numeric_leaves(node, path=()):
+    """The paths to the int and float leaves of a parsed JSON config."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _numeric_leaves(value, path + (key,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+# Extremes for one number: an integer past the float mantissa, up to past
+# the float range, the largest and smallest float magnitudes, zero, or a
+# negative. The integers start at 2**53 because a grid.n that is a smaller
+# power of two would be allocated for real; the subprocess test above runs
+# such a grid under an address-space limit.
+EXTREME_NUMBERS = st.one_of(st.integers(2**53, 10**400), st.integers(-10**400, -1),
+                            st.sampled_from([1e308, -1e308, 5e-324, 0, 0.0]))
+
+
+@st.composite
+def extreme_configs(draw):
+    """A scenario's default config with one numeric leaf set to an extreme."""
+    config = default_config(draw(st.sampled_from(scenario_names())))
+    *parents, last = draw(st.sampled_from(_numeric_leaves(config)))
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = draw(EXTREME_NUMBERS)
+    return config
+
+
+# An example takes a millisecond or two; 500 of them reach the rarer leaves,
+# a mode's amplitude or the box length, under every seed tried.
+@settings(deadline=None, max_examples=500)
+@given(extreme_configs())
+def test_validate_meets_any_extreme_number_with_an_exit_code(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _cli(["validate", str(cfg_path)])
+    assert caught == []
+    assert code in (0, 2, 3, 4)
+    _assert_exit_record(code, out, err)

@@ -21,7 +21,7 @@ from kg_lab import (
     superposition,
     unphysical_negative_branch,
 )
-from kg_lab.foundation import check_bandwidth, forward_transform, state_norm
+from kg_lab.foundation import forward_transform, state_norm
 from kg_lab.states import SUPPORT_SIGMAS, PacketSpec
 from strategies import KG, grids, kinds, laws, packets, states, times, units
 
@@ -40,6 +40,9 @@ def test_packet_spec_validation():
         PacketSpec(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         PacketSpec(float("nan"), 1.0, 1.0)
+    for name in ("x0", "k0", "sigma"):  # an int too large for a float
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            PacketSpec(**{"x0": 0.0, "k0": 1.0, "sigma": 2.0, name: 10**400})
 
 
 @laws
@@ -117,8 +120,8 @@ def test_state_rejects_non_finite_coefficients(natural, bad):
         from_coefficients(grid, natural, KG, coeffs)
     coeffs[5] = 0.0
     coeffs[32] = np.nan  # NaN in the Nyquist mode itself
-    with pytest.raises(BandwidthError):
-        check_bandwidth(grid, coeffs)
+    with pytest.raises(ValueError, match="^state norm must be 1, got nan$"):
+        from_coefficients(grid, natural, KG, coeffs)
 
 
 def test_state_rejects_nyquist_weight(natural):
@@ -136,6 +139,9 @@ def test_mode_set_validation():
         ModeSet([(0.5, 1.0), (0.5, 2.0)])  # sum of squares 0.5
     with pytest.raises(ValueError):
         ModeSet([(np.sqrt(0.5), 1.0), (np.sqrt(0.5), 1.0)])  # duplicate k
+    for amplitude in (1e300, 1e200j, complex(1e308, 1e308)):  # |a|^2 overflows to inf
+        with pytest.raises(ValueError, match=r"\(unitarity\), got inf$"):
+            ModeSet([(amplitude, 0.0)])
     ms = ModeSet([(0.6, 0.0), (0.8j, 2.0)])
     np.testing.assert_allclose(ms.amplitudes, [0.6, 0.8j])
     np.testing.assert_allclose(ms.wavenumbers, [0.0, 2.0])
