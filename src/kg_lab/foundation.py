@@ -40,6 +40,14 @@ def _finite(value: float) -> bool:
         return False
 
 
+def _as_float(value: float, name: str) -> float:
+    """float(value), ValueError instead of OverflowError for an int too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an int too large for a float") from None
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Physical constants for one run: hbar, light speed c, and mass m."""
@@ -146,7 +154,8 @@ def make_grid(n: int, length: float) -> Grid1D:
         raise ValueError(f"n must be a power of two >= 8, got {n}")
     if not (isinstance(length, (int, float)) and _finite(length) and length > 0):
         raise ValueError(f"length must be positive and finite, got {length!r}")
-    if not math.isfinite(math.pi * n / length):  # the largest |k|, at the Nyquist line
+    # The largest |k|, at the Nyquist line, must be finite.
+    if not math.isfinite(math.pi * _as_float(n, "n") / length):
         raise ValueError(f"the Nyquist wavenumber pi*n/L overflows for n={n}, length={length!r}")
     length = float(length)
     dx = length / n

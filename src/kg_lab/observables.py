@@ -31,7 +31,7 @@ import numpy as np
 
 from .dispersion import (DispersionKind, GammaStats, _below_rest_frequency, gamma_of_state,
                          omega)
-from .foundation import (Grid1D, UnitSystem, _finite, _readonly, inverse_transform,
+from .foundation import (Grid1D, UnitSystem, _as_float, _finite, _readonly, inverse_transform,
                          spectral_derivative)
 from .propagation import EvolutionResult
 from .states import ModeSet, _lattice_modes
@@ -203,7 +203,7 @@ def superposition_density(modes: ModeSet, t: float, grid: Grid1D,
     index, amps = _lattice_modes(modes, grid)
     ks = grid.wavenumbers[index]
     omegas = omega(DispersionKind.KLEIN_GORDON_POSITIVE, ks, units)
-    x, t = grid.points, float(t)
+    x, t = grid.points, _as_float(t, "t")
     psi, dpsi_dt = np.zeros((2, grid.n), dtype=np.complex128)
     wave = np.empty(grid.n, dtype=np.complex128)
     for a, k, w in zip(amps, ks.tolist(), omegas.tolist()):
@@ -228,7 +228,10 @@ class TwoModeSpec:
     omega2: float
 
     def __post_init__(self) -> None:
-        a1, a2 = complex(self.a1), complex(self.a2)
+        try:
+            a1, a2 = complex(self.a1), complex(self.a2)
+        except OverflowError:  # an int too large for a float is not finite either
+            a1 = a2 = complex(math.inf)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
         if not all(map(_finite, (a1.real, a1.imag, a2.real, a2.imag,

@@ -15,7 +15,7 @@ import numpy as np
 from .dispersion import DispersionKind
 from .errors import KindError
 from .states import SpectralState, from_coefficients
-from .foundation import UnitSystem, _readonly, inverse_transform
+from .foundation import UnitSystem, _as_float, _readonly, inverse_transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +68,11 @@ def evolve(state: SpectralState, t: float) -> EvolutionResult:
     rest, in the array that becomes the new coefficients; the new state
     shares the frequencies of this one.
     """
-    coefficients = _phase(state.omegas, float(t))
+    t = _as_float(t, "t")
+    coefficients = _phase(state.omegas, t)
     np.multiply(state.coefficients, coefficients, out=coefficients)
     new_state = from_coefficients(
-        state.grid, state.units, state.kind, coefficients, time=state.time + float(t)
+        state.grid, state.units, state.kind, coefficients, time=state.time + t
     )
     # Same grid, units and branch: the frequencies carry over unchanged.
     object.__setattr__(new_state, "omegas", state.omegas)
@@ -101,5 +102,5 @@ def kg_residual(state: SpectralState, t: float = 0.0) -> float:
     if state.kind is DispersionKind.SCHRODINGER:
         raise KindError("the mass-shell residual is defined for Klein-Gordon states")
     omegas = state.omegas
-    coefficients = state.coefficients * _phase(omegas, float(t))
+    coefficients = state.coefficients * _phase(omegas, _as_float(t, "t"))
     return _spectral_residual(coefficients, omegas, state.grid.wavenumbers, state.units)

@@ -22,6 +22,7 @@ from .foundation import (
     NYQUIST_TOLERANCE,
     Grid1D,
     UnitSystem,
+    _as_float,
     _finite,
     _parseval,
     _readonly,
@@ -60,7 +61,7 @@ class SpectralState:
                 f"(limit {NYQUIST_TOLERANCE:.0e}); the state is not band-limited on this grid"
             )
         object.__setattr__(self, "coefficients", _readonly(coefficients))
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _as_float(self.time, "time"))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -178,8 +179,10 @@ class ModeSet:
     def __init__(self, modes: Sequence[Tuple[complex, float]]) -> None:
         cleaned = []
         for amp, k in modes:
-            amp = complex(amp)
-            k = float(k)
+            try:
+                amp, k = complex(amp), float(k)
+            except OverflowError:  # an int too large for a float is not finite either
+                amp = k = math.inf
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag) and math.isfinite(k)):
                 raise ValueError("mode amplitudes and wavenumbers must be finite")
             cleaned.append((amp, k))

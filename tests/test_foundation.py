@@ -71,7 +71,7 @@ def test_grid_wavenumber_symmetry(grid):
     assert np.count_nonzero(np.abs(k) == np.abs(k[half])) == 1
 
 
-@pytest.mark.parametrize("n", [7, 12, 1000, 4])
+@pytest.mark.parametrize("n", [7, 12, 1000, 4, pytest.param(2**2000, id="int-past-float-range")])
 def test_grid_rejects_bad_sizes(n):
     with pytest.raises(ValueError):
         make_grid(n, 10.0)
@@ -205,9 +205,11 @@ def test_nyquist_fraction_is_the_nyquist_amplitude_over_the_norm(grid, seed, emp
     drop = np.random.default_rng(seed).random(grid.n) < empty
     drop[0] = False
     a[drop] = 0.0
-    expected = float(abs(a[grid.nyquist_index]) / np.linalg.norm(a))
-    # One pass and np.linalg.norm's two sum the squares in different orders.
-    # Over 20000 draws they differed by up to 3 ulp for n <= 1024, 5 at 2048
-    # and 7 at 4096: the allowance grows one ulp per 512 modes beyond 4.
-    ulps = 4 + grid.n // 512
+    v = a.view(np.float64)
+    expected = abs(a[grid.nyquist_index]) / math.sqrt(math.fsum(v * v))
+    # fsum rounds the sum of the 2n squares once. einsum promises no order,
+    # and any order of its 2n - 1 additions stays within (2n - 1) u of the
+    # exact sum (u = 2**-53), which the square root halves to under n ulp.
+    # The squares, the modulus, the root and the quotient add at most 4 ulp.
+    ulps = grid.n + 4
     assert abs(nyquist_fraction(grid, a) - expected) <= ulps * np.spacing(expected)

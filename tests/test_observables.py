@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from kg_lab import (
     BandwidthError,
-    DispersionKind,
     ModeSet,
     TwoModeSpec,
     UnitSystem,
@@ -18,11 +17,13 @@ from kg_lab import (
     density_kg,
     current_std,
     evolve,
+    from_coefficients,
     gamma_of_state,
     gaussian_packet,
     group_velocity,
     make_grid,
     moments,
+    omega,
     superposition,
     superposition_density,
     two_mode_density_of_phase,
@@ -31,76 +32,57 @@ from kg_lab import (
 )
 from kg_lab.foundation import spectral_derivative
 from kg_lab.states import SUPPORT_SIGMAS, PacketSpec
-from strategies import grids, laws, seeds, states, times, units
-
-KG = DispersionKind.KLEIN_GORDON_POSITIVE
-NR = DispersionKind.SCHRODINGER
+from strategies import KG, NR, grids, kinds, laws, seeds, states, times, units
 
 
-def _mode_grid():
-    # Box tuned so k = 3 sits exactly on the lattice (index 64).
-    return make_grid(512, 2.0 * np.pi * 64.0 / 3.0)
+def _within(field, value):
+    # Relative to the exact value; a zero value must come out exactly zero.
+    return np.all(np.abs(field - value) <= 1e-12 * abs(value))
 
 
-def _random_mode_set(rng, grid, n_modes):
+@laws
+@given(st.data(), grids(), units, kinds, st.floats(0.0, 2.0 * math.pi), times)
+def test_plane_wave_law(data, grid, u, kind, phase, t):
+    # A lattice mode e^{i(kx - wt)} / sqrt(L) on any branch: |psi|^2 = 1/L,
+    # rho_kg weights it by gamma = hbar w / m c^2 (sign and all) and j_std by
+    # hbar k / m. On KG+ the ratio j/rho is the group velocity, gamma_bar is
+    # gamma with no spread, and the amended density is |psi|^2 again. Each
+    # field is a few roundings of a one-coefficient transform, so 1e-12
+    # follows from the arithmetic.
     half = grid.n // 2
-    pool = np.concatenate([np.arange(0, half), np.arange(half + 1, grid.n)])
-    idx = rng.choice(pool, size=n_modes, replace=False)
-    amps = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-    amps /= np.linalg.norm(amps)
-    return ModeSet(list(zip(amps, grid.wavenumbers[idx])))
+    k = float(grid.wavenumbers[data.draw(st.integers(1 - half, half - 1))])
+    mode = ModeSet([(complex(math.cos(phase), math.sin(phase)), k)])
+    fields = compute_fields(evolve(superposition(mode, grid, u, kind), t))
+    w = omega(NR, k, u) if kind is NR else omega(KG, k, u) * (1.0 if kind is KG else -1.0)
+    gamma, nonrel = u.hbar * w / (u.m * u.c**2), 1.0 / grid.length
+    assert _within(fields.rho_nonrel, nonrel)
+    assert _within(fields.rho_kg, gamma * nonrel)
+    assert _within(fields.j_std, u.hbar * k / u.m * nonrel)
+    if kind is KG:
+        assert _within(fields.j_std / fields.rho_kg, group_velocity(KG, k, u))
+        assert fields.gamma_bar == gamma and fields.gamma_spread == 0.0
+        assert _within(fields.rho_amended, nonrel)
 
 
-def test_plane_wave_density_ratio(units_m4):
-    grid = _mode_grid()
-    state = superposition(ModeSet([(1.0, 3.0)]), grid, units_m4, KG)
-    result = evolve(state, 0.0)
-    rho = density_kg(state.values, result.dpsi_dt, units_m4)
-    ratio = rho / state.density_nonrel
-    np.testing.assert_allclose(ratio, 1.25, rtol=0, atol=1e-12)
-
-    neg = superposition(ModeSet([(1.0, 3.0)]), grid, units_m4, unphysical_negative_branch())
-    neg_result = evolve(neg, 0.0)
-    neg_rho = density_kg(neg.values, neg_result.dpsi_dt, units_m4)
-    np.testing.assert_allclose(neg_rho / neg.density_nonrel, -1.25, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(neg_rho, -rho, rtol=0, atol=1e-15)
-
-
-def test_plane_wave_current(units_m4):
-    grid = _mode_grid()
-    state = superposition(ModeSet([(1.0, 3.0)]), grid, units_m4, KG)
-    result = evolve(state, 2.0)
-    j = current_std(result.state.values, result.dpsi_dx, units_m4)
-    expected = (1.0 / grid.length) * (3.0 / 4.0)  # |psi|^2 hbar k / m
-    np.testing.assert_allclose(j, expected, rtol=1e-12)
-    rho = density_kg(result.state.values, result.dpsi_dt, units_m4)
-    v = group_velocity(KG, 3.0, units_m4)
-    np.testing.assert_allclose(j / rho, v, rtol=1e-12)
-
-
-def test_negative_branch_density_negates_at_t0(natural):
-    rng = np.random.default_rng(20)
-    grid = make_grid(256, 100.0)
-    ms = _random_mode_set(rng, grid, 5)
-    pos = evolve(superposition(ms, grid, natural, KG), 0.0)
-    neg = evolve(superposition(ms, grid, natural, unphysical_negative_branch()), 0.0)
-    rho_pos = density_kg(pos.state.values, pos.dpsi_dt, natural)
-    rho_neg = density_kg(neg.state.values, neg.dpsi_dt, natural)
-    np.testing.assert_allclose(rho_neg, -rho_pos, rtol=0, atol=1e-13 * np.max(np.abs(rho_pos)))
-
-
-def test_broad_packet_density_tracks_gamma(units_m4, grid400):
-    state = gaussian_packet(PacketSpec(0.0, 3.0, 20.0), grid400, units_m4, KG)
-    result = evolve(state, 0.0)
-    fields = compute_fields(result)
-    mask = fields.rho_nonrel >= 1e-3 * fields.rho_nonrel.max()
-    rel = np.abs(fields.rho_kg[mask] / (fields.gamma_bar * fields.rho_nonrel[mask]) - 1.0)
-    assert rel.max() <= 1e-3
-    assert fields.gamma_spread <= 0.01 * fields.gamma_bar
+@laws
+@given(states(st.just(KG)), times)
+def test_branch_twin_law(state, t):
+    # The KG- state with the same coefficients, evolved to t, is the KG+
+    # state at -t with its conserved density negated: omega changes sign,
+    # and every rounding after it is symmetric in sign. Hence bit for bit.
+    twin = compute_fields(evolve(from_coefficients(
+        state.grid, state.units, unphysical_negative_branch(), state.coefficients), t))
+    back = compute_fields(evolve(state, -t))
+    assert np.array_equal(twin.result.state.values.view(np.uint64),
+                          back.result.state.values.view(np.uint64))
+    assert np.array_equal(twin.rho_kg, -back.rho_kg)
+    assert np.array_equal(twin.j_std, back.j_std)
 
 
 def test_density_gamma_l2_bound(natural):
-    # ||rho - gamma_bar psi*psi|| stays within a few relative gamma spreads.
+    # In natural units, for k0 <= 3 and sigma 5-8, ||rho - gamma_bar psi*psi||
+    # stays within three relative gamma spreads. That is this regime only: a
+    # narrow packet with drawn units reaches 11.5 spreads (ROADMAP item 5).
     rng = np.random.default_rng(21)
     grid = make_grid(1024, 200.0)
     for _ in range(8):
@@ -118,28 +100,12 @@ def test_density_gamma_l2_bound(natural):
         assert err / scale <= 3.0 * stats.relative_spread + 1e-12
 
 
-def test_amended_plane_wave_restores_nonrel(units_m4):
-    grid = _mode_grid()
-    state = superposition(ModeSet([(1.0, 3.0)]), grid, units_m4, KG)
-    fields = compute_fields(evolve(state, 1.0))
-    np.testing.assert_allclose(fields.rho_amended, fields.rho_nonrel, rtol=0, atol=1e-12 / grid.length)
-    np.testing.assert_allclose(fields.j_amended, fields.j_std / fields.gamma_bar, rtol=1e-14)
-    assert fields.gamma_bar == pytest.approx(1.25, abs=1e-12)
-
-
-def test_amended_packet_reduction(units_m4, grid400):
-    state = gaussian_packet(PacketSpec(0.0, 3.0, 20.0), grid400, units_m4, KG)
-    fields = compute_fields(evolve(state, 0.0))
-    err = np.linalg.norm(fields.rho_amended - fields.rho_nonrel)
-    assert err / np.linalg.norm(fields.rho_nonrel) <= 1e-3
-
-
 FIELD_ATTRIBUTES = ("rho_nonrel", "rho_kg", "rho_amended", "j_std", "j_amended",
                     "gamma_bar", "gamma_spread")
 
 
 @given(
-    kind=st.sampled_from([KG, unphysical_negative_branch(), NR]),
+    kind=kinds,
     # x0 anywhere the support rule admits, |x0| + SUPPORT_SIGMAS sigma < L/2,
     # up to the rule's own edge.
     reach=st.floats(-1.0, 1.0),
@@ -222,21 +188,14 @@ def test_bilinears_are_the_full_complex_product_bit_for_bit(pair, hbar, c, m):
         assert np.array_equal(fast.view(np.uint64), full.view(np.uint64))
 
 
-def test_spread_flag_set_for_broad_spectrum(natural):
+def test_spread_flag_set_for_broad_spectrum(natural, units_m4, grid400):
     grid = make_grid(256, 100.0)
     state = gaussian_packet(PacketSpec(0.0, 0.0, 0.8), grid, natural, KG)
-    # A run of this state sets derived.gamma_spread_flag at the default tolerance.
+    # A run of this state sets derived.gamma_spread_flag at the default
+    # tolerance; one of criterion 3's narrow packet leaves it clear.
     assert gamma_of_state(state).relative_spread > 0.01
-
-
-def test_compute_fields_nonrelativistic_kind(natural, grid_small):
-    state = gaussian_packet(PacketSpec(0.0, 1.0, 5.0), grid_small, natural, NR)
-    fields = compute_fields(evolve(state, 1.0))
-    assert np.all(np.isnan(fields.rho_amended))
-    assert np.all(np.isnan(fields.j_amended))
-    assert np.isnan(fields.gamma_bar) and np.isnan(fields.gamma_spread)
-    assert np.all(np.isfinite(fields.rho_kg))
-    assert np.all(fields.rho_nonrel >= 0.0)
+    narrow = gamma_of_state(gaussian_packet(PacketSpec(0.0, 3.0, 20.0), grid400, units_m4, KG))
+    assert narrow.gamma_spread <= 0.01 * narrow.gamma_bar
 
 
 @laws
@@ -249,23 +208,6 @@ def test_exact_continuity_defect_is_rounding_within_half_the_band(data, t):
     half, full = (data.draw(states(band=band)) for band in (0.5, 1.0))
     assert continuity_exact(compute_fields(evolve(half, t))) <= 1e-12
     assert continuity_exact(compute_fields(evolve(full, t))) > 1e-3
-
-
-def test_continuity_residual_packet(units_m4, grid400):
-    state = gaussian_packet(PacketSpec(0.0, 3.0, 10.0), grid400, units_m4, KG)
-    base = evolve(state, 10.0)
-    fields = compute_fields(base)
-    dt = 1e-3
-    rho_m = compute_fields(evolve(state, 10.0 - dt)).rho_kg
-    rho_p = compute_fields(evolve(state, 10.0 + dt)).rho_kg
-    res = continuity_residual(rho_m, rho_p, fields.j_std, dt, grid400)
-    assert res <= 1e-6
-
-    # Quadratic convergence: halving dt cuts the residual by about four.
-    rho_m2 = compute_fields(evolve(state, 10.0 - dt / 2)).rho_kg
-    rho_p2 = compute_fields(evolve(state, 10.0 + dt / 2)).rho_kg
-    res2 = continuity_residual(rho_m2, rho_p2, fields.j_std, dt / 2, grid400)
-    assert res / res2 >= 3.5
 
 
 def test_continuity_residual_amended_pair_matches(units_m4, grid400):
@@ -292,18 +234,8 @@ def test_continuity_residual_amended_pair_matches(units_m4, grid400):
     assert defect_amd == pytest.approx(defect_std / fields.gamma_bar, rel=1e-5)
 
 
-def test_continuity_residual_schrodinger_pair(units_m4, grid400):
-    state = gaussian_packet(PacketSpec(0.0, 3.0, 10.0), grid400, units_m4, NR)
-    dt = 1e-3
-    fields = compute_fields(evolve(state, 10.0))
-    rho_m = evolve(state, 10.0 - dt).state.density_nonrel
-    rho_p = evolve(state, 10.0 + dt).state.density_nonrel
-    res = continuity_residual(rho_m, rho_p, fields.j_std, dt, grid400)
-    assert res <= 1e-6
-
-
 def test_continuity_residual_plane_wave(units_m4):
-    grid = _mode_grid()
+    grid = make_grid(512, 2.0 * np.pi * 64.0 / 3.0)  # k = 3 sits on the lattice (index 64)
     state = superposition(ModeSet([(1.0, 3.0)]), grid, units_m4, KG)
     dt = 1e-3
     fields = compute_fields(evolve(state, 1.0))
@@ -329,7 +261,13 @@ def lattice_mode_sets(draw, max_modes):
     """A grid and a unit-norm set of 1 to max_modes of its lattice modes."""
     grid = draw(grids())
     n_modes = draw(st.integers(1, min(max_modes, grid.n - 1)))
-    return grid, _random_mode_set(np.random.default_rng(draw(seeds)), grid, n_modes)
+    rng = np.random.default_rng(draw(seeds))
+    half = grid.n // 2
+    pool = np.concatenate([np.arange(0, half), np.arange(half + 1, grid.n)])
+    idx = rng.choice(pool, size=n_modes, replace=False)
+    amps = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+    amps /= np.linalg.norm(amps)
+    return grid, ModeSet(list(zip(amps, grid.wavenumbers[idx])))
 
 
 @laws
@@ -344,6 +282,8 @@ def test_superposition_density_matches_state_route(problem, t, offset):
     result = evolve(superposition(ms, grid, natural, KG), t)
     rho_state = density_kg(result.state.values, result.dpsi_dt, natural)
     assert np.max(np.abs(sd.rho - rho_state)) <= 1e-10 * np.max(np.abs(rho_state))
+    idx = int(np.argmin(sd.rho))
+    assert sd.minimum == sd.rho[idx] and sd.argmin_x == grid.points[idx]
 
 
 @laws
@@ -385,16 +325,6 @@ def test_superposition_density_rejects_colliding_modes(natural):
             build()
 
 
-def test_superposition_density_minimum_fields(natural):
-    rng = np.random.default_rng(23)
-    grid = make_grid(128, 60.0)
-    ms = _random_mode_set(rng, grid, 3)
-    sd = superposition_density(ms, 0.5, grid, natural)
-    idx = int(np.argmin(sd.rho))
-    assert sd.minimum == sd.rho[idx]
-    assert sd.argmin_x == grid.points[idx]
-
-
 def test_superposition_density_rejects_off_lattice(natural):
     grid = make_grid(64, 20.0)
     with pytest.raises(BandwidthError):
@@ -408,19 +338,6 @@ def test_two_mode_equal_amplitudes_touch_zero(natural):
     phases = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     scan = two_mode_density_of_phase(spec, natural, phases)
     assert scan.min() >= -1e-15
-
-
-def test_two_mode_unequal_amplitudes_go_negative(natural):
-    spec = TwoModeSpec(a1=np.sqrt(0.9), a2=np.sqrt(0.1), omega1=1.0, omega2=5.0)
-    target = two_mode_min_density(spec, natural)
-    assert target == pytest.approx(-0.4, abs=1e-12)
-    phases = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    scan = two_mode_density_of_phase(spec, natural, phases)
-    assert abs(scan.min() - target) <= 1e-9
-    # The minimum sits at relative phase pi.
-    assert two_mode_density_of_phase(spec, natural, np.array([np.pi]))[0] == pytest.approx(
-        target, abs=1e-15
-    )
 
 
 @laws
@@ -448,17 +365,11 @@ def test_two_mode_validation(natural):
         TwoModeSpec(a1=0.5, a2=0.5, omega1=1.0, omega2=5.0)  # weights sum to 0.5
     with pytest.raises(ValueError, match="= 1, got inf$"):
         TwoModeSpec(a1=1e200, a2=0.0, omega1=1.0, omega2=5.0)  # |a1|^2 overflows
+    with pytest.raises(ValueError, match="must be finite$"):
+        TwoModeSpec(a1=10**400, a2=0.0, omega1=1.0, omega2=5.0)  # an int too large for a float
     spec = TwoModeSpec(a1=np.sqrt(0.9), a2=np.sqrt(0.1), omega1=0.2, omega2=5.0)
     with pytest.raises(ValueError):
         two_mode_min_density(spec, natural)  # omega1 below the rest frequency
-
-
-def test_moments_gaussian(natural, grid400):
-    state = gaussian_packet(PacketSpec(2.0, 0.0, 10.0), grid400, natural, KG)
-    m = moments(state.density_nonrel, grid400)
-    assert m.norm == pytest.approx(1.0, abs=1e-12)
-    assert m.centroid == pytest.approx(2.0, abs=grid400.dx)
-    assert m.variance == pytest.approx(100.0, rel=1e-6)
 
 
 def test_moments_wraps_across_seam(natural, grid400):

@@ -12,12 +12,14 @@ from kg_lab import (
     ModeSet,
     UnitSystem,
     evolve,
+    from_coefficients,
     gaussian_packet,
     kg_residual,
     make_grid,
     moments,
     omega,
     superposition,
+    superposition_density,
     unphysical_negative_branch,
 )
 from kg_lab.foundation import state_norm
@@ -146,6 +148,18 @@ def test_mass_shell_residual_rejects_schrodinger(natural, grid_small):
 
 # 2 pi to 61 significant digits, truncated.
 TWO_PI = Decimal("6.283185307179586476925286766559005768394338798750211641949889")
+
+
+@pytest.mark.parametrize("call", [
+    evolve,
+    kg_residual,
+    lambda state, t: superposition_density(ModeSet([(1.0, 0.0)]), t, state.grid, state.units),
+    lambda state, t: from_coefficients(state.grid, state.units, KG, state.coefficients, time=t),
+], ids=["evolve", "kg_residual", "superposition_density", "from_coefficients"])
+def test_a_time_too_large_for_a_float_is_a_value_error(call, natural, grid_small):
+    state = superposition(ModeSet([(1.0, 0.0)]), grid_small, natural, KG)
+    with pytest.raises(ValueError, match="is an int too large for a float$"):
+        call(state, 10**400)
 
 
 def _exact_phase(w: float, t: float) -> complex:

@@ -73,12 +73,13 @@ def test_packet_bandwidth_rule(grid, share, margin, side):
 @laws
 @given(packets())
 def test_packet_norm_and_moments(packet):
-    # Unit norm, centroid x0 and variance sigma^2; spectral center k0 and
-    # spectral width 1 / (2 sigma).
+    # Unit norm, also as moments reads it, centroid x0 and variance sigma^2;
+    # spectral center k0 and spectral width 1 / (2 sigma).
     spec, grid = packet
     state = gaussian_packet(spec, grid, NATURAL, KG)
     assert abs(state_norm(grid, state.values) - 1.0) <= 1e-10
     m = moments(state.density_nonrel, grid)
+    assert abs(m.norm - 1.0) <= 1e-12
     assert abs(m.centroid - spec.x0) <= grid.dx / 10.0
     assert abs(m.variance - spec.sigma**2) <= 1e-6 * spec.sigma**2
     w = np.abs(state.coefficients) ** 2
@@ -142,6 +143,9 @@ def test_mode_set_validation():
     for amplitude in (1e300, 1e200j, complex(1e308, 1e308)):  # |a|^2 overflows to inf
         with pytest.raises(ValueError, match=r"\(unitarity\), got inf$"):
             ModeSet([(amplitude, 0.0)])
+    for mode in ((1.0, 10**400), (10**400, 0.0)):  # an int too large for a float
+        with pytest.raises(ValueError, match="must be finite$"):
+            ModeSet([mode])
     ms = ModeSet([(0.6, 0.0), (0.8j, 2.0)])
     np.testing.assert_allclose(ms.amplitudes, [0.6, 0.8j])
     np.testing.assert_allclose(ms.wavenumbers, [0.0, 2.0])
