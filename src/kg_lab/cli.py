@@ -20,6 +20,7 @@ from .scenarios import (
     SCENARIOS,
     RunResult,
     SUMMARY_COLUMNS,
+    _compute,
     run_scenario,
     validate_config,
 )
@@ -75,6 +76,7 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     text = _read_config(args.config)
     config = validate_config(text)
+    _compute(config)
     print(f"OK: {config.scenario} "
           f"(n={config.grid.n}, length={config.grid.length:g}, "
           f"{len(config.times)} sample times, format={config.fmt})")
@@ -110,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc_p = sub.add_parser("scenarios", help="list the shipped scenario catalog")
     sc_p.set_defaults(func=_cmd_scenarios)
 
-    val_p = sub.add_parser("validate", help="validate a config without running it")
+    val_p = sub.add_parser("validate",
+                           help="check a config and run its physics without writing files")
     val_p.add_argument("config", help="path to a JSON scenario config")
     val_p.set_defaults(func=_cmd_validate)
     return parser

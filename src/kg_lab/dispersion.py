@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 import numpy as np
 
 from .errors import BranchError, KindError
-from .foundation import UnitSystem
+from .foundation import UnitSystem, _as_float
 
 if TYPE_CHECKING:  # pragma: no cover
     from .states import SpectralState
@@ -42,7 +42,7 @@ def unphysical_negative_branch() -> DispersionKind:
 
 def omega(kind: DispersionKind, k: ArrayOrFloat, units: UnitSystem) -> ArrayOrFloat:
     """Angular frequency of mode k under the given dispersion branch."""
-    karr = np.asarray(k, dtype=np.float64)
+    karr = _as_float(k, "k", array=True)
     if kind is DispersionKind.SCHRODINGER:
         out = units.hbar * karr**2 / (2.0 * units.m)
     else:
@@ -56,7 +56,7 @@ def group_velocity(kind: DispersionKind, k: ArrayOrFloat, units: UnitSystem) -> 
     """d omega / d k. Rejects the negative branch: it has no physical packets."""
     if kind is DispersionKind.KLEIN_GORDON_NEGATIVE:
         raise BranchError("group velocity is defined only on the physical branches")
-    karr = np.asarray(k, dtype=np.float64)
+    karr = _as_float(k, "k", array=True)
     if kind is DispersionKind.SCHRODINGER:
         out = units.hbar * karr / units.m
     else:
@@ -76,7 +76,7 @@ def gamma_of_omega(omega_value: ArrayOrFloat, units: UnitSystem) -> ArrayOrFloat
     Frequencies below the rest frequency have no Lorentz factor; they are
     rejected rather than clamped.
     """
-    w = np.asarray(omega_value, dtype=np.float64)
+    w = _as_float(omega_value, "omega", array=True)
     if _below_rest_frequency(w, units):
         raise ValueError(
             f"omega {float(np.min(w))} is below the rest frequency {units.rest_omega}; "

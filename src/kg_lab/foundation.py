@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import Any
 
 import numpy as np
 
@@ -40,10 +41,11 @@ def _finite(value: float) -> bool:
         return False
 
 
-def _as_float(value: float, name: str) -> float:
-    """float(value), ValueError instead of OverflowError for an int too large for a float."""
+def _as_float(value: Any, name: str, *, array: bool = False) -> Any:
+    """float(value), or np.asarray(value, dtype=np.float64) with array=True;
+    ValueError instead of OverflowError for an int too large for a float."""
     try:
-        return float(value)
+        return np.asarray(value, dtype=np.float64) if array else float(value)
     except OverflowError:
         raise ValueError(f"{name} is an int too large for a float") from None
 
@@ -126,6 +128,7 @@ class Grid1D:
         k must sit on 2*pi*j/L to within LATTICE_TOLERANCE*(1 + |k|); the Nyquist
         mode itself is rejected because valid states must leave it empty.
         """
+        k = _as_float(k, "k")
         j = int(round(k * self.length / (2.0 * math.pi)))
         if not -self.n // 2 <= j <= self.n // 2 - 1:
             raise BandwidthError(f"wavenumber {k} lies outside the resolvable lattice")

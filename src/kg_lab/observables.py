@@ -262,8 +262,8 @@ def two_mode_density_of_phase(spec: TwoModeSpec, units: UnitSystem,
         raise ValueError("two-mode frequencies must sit on or above the rest frequency")
     p1, p2 = abs(spec.a1) ** 2, abs(spec.a2) ** 2
     cross = abs(spec.a1) * abs(spec.a2)
-    bracket = (spec.omega1 * p1 + spec.omega2 * p2
-               + (spec.omega1 + spec.omega2) * cross * np.cos(np.asarray(phase)))
+    cos = np.cos(_as_float(phase, "phase", array=True))
+    bracket = spec.omega1 * p1 + spec.omega2 * p2 + (spec.omega1 + spec.omega2) * cross * cos
     return units.hbar / (units.m * units.c**2) * bracket
 
 

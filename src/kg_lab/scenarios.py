@@ -672,7 +672,8 @@ def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
         gaps[label] = {"c": units.c, "l2_gap": float(gap)}
     return series, derived, {
         "gaps": gaps,
-        "gap_ratio": gaps["base"]["l2_gap"] / gaps["doubled"]["l2_gap"],
+        # numpy divides, so that zero gaps raise under the run's raise mode.
+        "gap_ratio": float(np.divide(gaps["base"]["l2_gap"], gaps["doubled"]["l2_gap"])),
         "strip_time": config.strip_time,
     }
 
@@ -742,22 +743,27 @@ def default_config(name: str) -> dict[str, Any]:
     return copy.deepcopy({"scenario": name, **_SHARED_DEFAULTS, **SCENARIOS[name].overrides})
 
 
+def _compute(config: ScenarioConfig) -> _RunnerOutput:
+    """The scenario's runner, under numpy's raise mode: an overflow or invalid
+    value raises FloatingPointError, naming the scenario and the stage,
+    instead of yielding NaN or inf. run and validate both compute through
+    here, so validate fails exactly where run would."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return SCENARIOS[config.scenario].run(config)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"scenario {config.scenario!r}, stage runner: {exc}") from exc
+
+
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute one scenario and write its outputs; returns what was written.
 
-    The runner computes under numpy's raise mode, so an overflow or invalid
-    value raises FloatingPointError, naming the scenario and the stage,
-    instead of writing NaN or inf. Nothing is written, and no directory
-    made, unless the runner returns. If an output cannot be written in
-    full, that file and the files this run already wrote are removed
-    before the error propagates, so a failed run leaves no half of itself
-    behind.
+    Nothing is written, and no directory made, unless the computation
+    (_compute) returns. If an output cannot be written in full, that file
+    and the files this run already wrote are removed before the error
+    propagates, so a failed run leaves no half of itself behind.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            series, derived, results = SCENARIOS[config.scenario].run(config)
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"scenario {config.scenario!r}, stage runner: {exc}") from exc
+    series, derived, results = _compute(config)
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []

@@ -10,16 +10,20 @@ from kg_lab import (
     DispersionKind,
     KindError,
     ModeSet,
+    TwoModeSpec,
     UnitSystem,
     evolve,
     from_coefficients,
+    gamma_of_omega,
     gaussian_packet,
+    group_velocity,
     kg_residual,
     make_grid,
     moments,
     omega,
     superposition,
     superposition_density,
+    two_mode_density_of_phase,
     unphysical_negative_branch,
 )
 from kg_lab.foundation import state_norm
@@ -155,7 +159,14 @@ TWO_PI = Decimal("6.283185307179586476925286766559005768394338798750211641949889
     kg_residual,
     lambda state, t: superposition_density(ModeSet([(1.0, 0.0)]), t, state.grid, state.units),
     lambda state, t: from_coefficients(state.grid, state.units, KG, state.coefficients, time=t),
-], ids=["evolve", "kg_residual", "superposition_density", "from_coefficients"])
+    lambda state, k: omega(KG, k, state.units),
+    lambda state, k: group_velocity(KG, k, state.units),
+    lambda state, w: gamma_of_omega(w, state.units),
+    lambda state, k: state.grid.wavenumber_index(k),
+    lambda state, phase: two_mode_density_of_phase(TwoModeSpec(0.6, 0.8, 1.0, 2.0), state.units,
+                                                   phase),
+], ids=["evolve", "kg_residual", "superposition_density", "from_coefficients", "omega",
+        "group_velocity", "gamma_of_omega", "wavenumber_index", "two_mode_density_of_phase"])
 def test_a_time_too_large_for_a_float_is_a_value_error(call, natural, grid_small):
     state = superposition(ModeSet([(1.0, 0.0)]), grid_small, natural, KG)
     with pytest.raises(ValueError, match="is an int too large for a float$"):

@@ -1,11 +1,13 @@
 """README's Python examples run and print what their comments say, and
-its config block and catalog table are the program's own."""
+its command block, config block and catalog table are the program's own."""
+import argparse
 import contextlib
 import io
 import json
 import re
 from pathlib import Path
 
+from kg_lab.cli import build_parser
 from kg_lab.scenarios import SCENARIOS, default_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,3 +44,13 @@ def test_readme_catalog_table_holds_the_scenario_blurbs():
     rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(), re.M)
     assert [(name, blurb.replace("`", "")) for name, blurb in rows] == \
         [(name, scenario.blurb) for name, scenario in SCENARIOS.items()]
+
+
+def test_readme_command_block_gives_each_subcommands_help():
+    # Each subcommand's line, then its argparse help at the end of that line
+    # or of the next.
+    block, = re.findall(r"```text\n(.*?)```", README.read_text(), re.S)
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for choice in sub._choices_actions:
+        pattern = rf"^kg-lab {choice.dest}\b.*\s+{re.escape(choice.help)}$"
+        assert re.search(pattern, block, re.M), choice.dest

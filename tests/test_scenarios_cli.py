@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kg_lab import (BandwidthError, ConfigError, compute_fields, continuity_exact, evolve,
-                    gamma_of_state, moments, state_norm)
+from kg_lab import compute_fields, continuity_exact, evolve, gamma_of_state, moments, state_norm
 from kg_lab.cli import build_parser, main
 import kg_lab.scenarios
 from kg_lab.scenarios import (
@@ -30,10 +29,12 @@ from kg_lab.scenarios import (
 )
 
 
+def _cfg(name, **overrides):
+    return {"scenario": name, **overrides}
+
+
 def _config_text(name, **overrides):
-    cfg = {"scenario": name}
-    cfg.update(overrides)
-    return json.dumps(cfg)
+    return json.dumps(_cfg(name, **overrides))
 
 
 SMALL = dict(
@@ -63,61 +64,7 @@ def test_every_catalog_default_validates_at_t_1e6():
         assert validate_config(_config_text(name, times=[1e6])).times == (1e6,)
 
 
-def test_unknown_scenario():
-    with pytest.raises(ConfigError, match="unknown scenario"):
-        validate_config(_config_text("does-not-exist"))
-    with pytest.raises(ConfigError, match="scenario"):
-        validate_config(json.dumps({"grid": {"n": 16}}))
-
-
-def test_unknown_keys_rejected_with_path():
-    with pytest.raises(ConfigError, match="bogus"):
-        validate_config(_config_text("packet-continuity", bogus=1))
-    with pytest.raises(ConfigError, match=r"grid\.dx"):
-        validate_config(_config_text("packet-continuity", grid={"dx": 0.1}))
-    with pytest.raises(ConfigError, match=r"state\.packet\.width"):
-        validate_config(_config_text("packet-continuity",
-                                     state={"packet": {"width": 3.0}}))
-
-
-def test_bad_json_reports_position():
-    with pytest.raises(ConfigError, match="line 1"):
-        validate_config("{not json")
-    with pytest.raises(ConfigError, match="top-level object"):
-        validate_config("[1, 2]")
-
-
-def test_grid_and_units_validation():
-    with pytest.raises(ConfigError, match="grid"):
-        validate_config(_config_text("packet-continuity", grid={"n": 1000}))
-    with pytest.raises(ConfigError, match="units"):
-        validate_config(_config_text("packet-continuity", units={"m": -1.0}))
-
-
-def test_times_and_dt_validation():
-    with pytest.raises(ConfigError, match="times"):
-        validate_config(_config_text("packet-continuity", times=[]))
-    with pytest.raises(ConfigError, match="format"):
-        validate_config(_config_text("packet-continuity", format="xml"))
-
-
-def test_packet_support_violation_is_bandwidth():
-    with pytest.raises(BandwidthError):
-        validate_config(_config_text("packet-continuity",
-                                     state={"packet": {"sigma": 40.0}}))
-
-
 def test_mode_entry_validation():
-    with pytest.raises(BandwidthError, match="outside the open lattice range"):
-        validate_config(_config_text("branch-demo", state={"mode": {"index": 256}}))
-    with pytest.raises(ConfigError, match="exactly one"):
-        validate_config(_config_text("branch-demo", state={"mode": {"index": 3, "k": 1.0}}))
-    with pytest.raises(BandwidthError):
-        validate_config(_config_text("superposition-scan",
-                                     state={"modes": [{"amplitude_re": 1.0, "k": 0.1234}]}))
-    with pytest.raises(ConfigError, match="unitarity"):
-        validate_config(_config_text("superposition-scan",
-                                     state={"modes": [{"amplitude_re": 0.5, "index": 3}]}))
     # On-lattice k is accepted and normalized into the resolved config.
     k = 2.0 * math.pi * 5 / 400.0
     cfg = validate_config(_config_text("superposition-scan",
@@ -144,17 +91,6 @@ def test_k_and_index_selectors_name_the_same_state(name, j):
                       for selector in ({"index": j}, {"k": 2.0 * math.pi * j / length + 1e-13}))
     assert by_k.modes == by_index.modes
     assert np.array_equal(by_k.state.coefficients, by_index.state.coefficients)
-
-
-def test_two_mode_validation():
-    with pytest.raises(ConfigError, match="unitarity"):
-        validate_config(_config_text("two-mode",
-                                     state={"two_mode": {"a1_sq": 0.5, "a2_sq": 0.2}}))
-    with pytest.raises(ConfigError, match="rest frequency"):
-        validate_config(_config_text("two-mode",
-                                     state={"two_mode": {"omega1": 0.2}}))
-    with pytest.raises(ConfigError, match="c_factor"):
-        validate_config(_config_text("nonrel-limit", c_factor=1.0))
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -369,107 +305,182 @@ def test_cli_scenarios_lists_catalog(capsys):
         "two-mode", "superposition-scan", "nonrel-limit"]
 
 
-@pytest.mark.parametrize("config", [
-    {"scenario": "packet-continuity", "units": {"m": 1e-300}},  # rest_omega**2 underflows
-    {"scenario": "branch-demo", "units": {"c": 1e-200}},  # m*c**2 underflows
-    {"scenario": "packet-continuity", "units": {"c": 1e200}},  # c**2 overflows
-    {"scenario": "nonrel-limit", "units": {"c": 1e77}},  # overflows once c is doubled
-])
-def test_extreme_units_exit_as_config_errors(tmp_path, capsys, config):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
+def _cli(argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_record(code, out, err):
+    """A nonzero exit prints nothing on stdout and one JSON record on stderr,
+    which is returned (None for exit 0)."""
+    if code == 0:
+        return None
+    lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ConfigError"
-    assert captured.out == ""
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "message"}
+    assert out == ""
+    return record
 
 
-def test_validate_rejects_packet_that_fails_nyquist_check(tmp_path, capsys):
-    # Inside the support and bandwidth rules, but the carrier sits so close
-    # to the grid bandwidth that the built state leaks 4.8e-6 > 1e-10 of its
-    # norm into the Nyquist mode: validate must fail as run does.
-    text = _config_text("packet-continuity",
-                        state={"packet": {"x0": 0.0, "k0": 32.0, "sigma": 20.0}},
-                        times=[0.0])
-    with pytest.raises(BandwidthError, match="Nyquist"):
-        validate_config(text)
-    # x0=48, sigma=19.9 leaked 1.6e-10 under the old |x0| + 6 sigma rule;
-    # the envelope-derived rule rejects it before any state is built.
-    with pytest.raises(BandwidthError, match="packet support"):
-        validate_config(_config_text("packet-continuity",
-                                     state={"packet": {"x0": 48.0, "k0": 3.0, "sigma": 19.9}},
-                                     times=[0.0]))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text)
-    assert main(["validate", str(cfg_path)]) == 3
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+PC, GD, BD, TWO, SCAN, NR = ("packet-continuity", "gamma-density", "branch-demo", "two-mode",
+                             "superposition-scan", "nonrel-limit")
+CONFIG, BANDWIDTH, PHYSICS = (2, "ConfigError"), (3, "BandwidthError"), (2, "FloatingPointError")
+AT_REST = {"x0": 0.0, "k0": 0.0}
+TWO_MODE = b'{"scenario": "two-mode", "state": {"two_mode": {%s}}}'
+DEEP = b'{"scenario": "amended", "times": '
+
+# Configs that validate and run refuse alike: the config (a dict, the raw
+# bytes of the file, or None for a missing file), the exit code, the error
+# record's class and a fragment of its message.
+REJECTED = {
+    "unknown-scenario": (_cfg("nope"), *CONFIG, "unknown scenario 'nope'"),
+    "no-scenario": ({"grid": {"n": 16}}, *CONFIG, "scenario: required string"),
+    "unknown-key": (_cfg(PC, bogus=1), *CONFIG, "bogus: unknown key"),
+    "unknown-grid-key": (_cfg(PC, grid={"dx": 0.1}), *CONFIG, "grid.dx: unknown key"),
+    "unknown-state-key": (_cfg(PC, state={"packet": {"width": 3}}), *CONFIG, "state.packet.width"),
+    "removed-dt-continuity": (_cfg(PC, dt_continuity=1e-3), *CONFIG, "dt_continuity: unknown key"),
+    "not-json": (b"{not json", *CONFIG, "not valid JSON: line 1 column 2"),
+    "not-an-object": (b"[1, 2]", *CONFIG, "expected a top-level object"),
+    "not-utf-8": (b'{"scenario": "amended", "output": "\xff\xfe"}', *CONFIG, "not UTF-8 text"),
+    "nested-past-the-parser": (DEEP + b"[" * 100_000, *CONFIG, "nested too deeply to parse"),
+    "nested-past-the-schema": (DEEP + b"[" * 500 + b"]" * 500 + b"}", *CONFIG, "than 16 levels"),
+    "missing-file": (None, 4, "FileNotFoundError", "No such file or directory: 'cfg.json'"),
+    "n-not-a-power-of-two": (_cfg(PC, grid={"n": 1000}), *CONFIG, "grid: n must be"),
+    "negative-mass": (_cfg(PC, units={"m": -1.0}), *CONFIG, "units: m must be"),
+    "no-times": (_cfg(PC, times=[]), *CONFIG, "times: must list"),
+    "format-xml": (_cfg(PC, format="xml"), *CONFIG, "format: expected 'csv'"),
+    "c-factor-of-1": (_cfg(NR, c_factor=1.0), *CONFIG, "c_factor: must exceed 1"),
+    # unit systems whose products over- or underflow
+    "rest-omega-underflows": (_cfg(PC, units={"m": 1e-300}), *CONFIG, "rest_omega**2 is 0.0"),
+    "c-squared-underflows": (_cfg(BD, units={"c": 1e-200}), *CONFIG, "units: c*c is 0.0"),
+    "c-squared-overflows": (_cfg(PC, units={"c": 1e200}), *CONFIG, "units: c*c is inf"),
+    "doubled-c-overflows": (_cfg(NR, units={"c": 1e77}), *CONFIG, "c_factor: rest_omega**2"),
+    # lattice frequencies that overflow; phases omega * t that overflow or
+    # that rounding has made meaningless (ulp(5e14) is 0.0625 rad)
+    "max-k-overflows": (_cfg(PC, grid={"n": 8, "length": 1e-320}), *CONFIG, "pi*n/L overflows"),
+    "nyquist-omega-overflows": (_cfg(GD, grid={"n": 8192, "length": 1e-150},
+                                     state={"packet": {**AT_REST, "sigma": 1e-152}}), *CONFIG,
+                                "grid: the kg+ frequency at the Nyquist wavenumber is inf"),
+    "phase-overflows": (_cfg(PC, times=[1e307]), *CONFIG, "times: the phase"),
+    "strip-phase-overflows": (_cfg(NR, strip_time=1e308), *CONFIG, "strip_time: the phase"),
+    "phase-all-rounding": (_cfg(PC, times=[1e300]), *CONFIG, "times: the phase"),
+    "phase-rounds-by-0.06-rad": (_cfg(PC, times=[1e14]), *CONFIG, "rounds by more than 1e-6"),
+    # numbers that are not finite floats
+    "n-past-the-float-range": (_cfg(PC, grid={"n": 10**400}), *CONFIG, "grid.n: must be finite"),
+    "time-past-the-float-range": (_cfg(PC, times=[10**400]), *CONFIG, "times[0]: must be finite"),
+    "omega1-past-the-float-range": (_cfg(TWO, state={"two_mode": {"omega1": 10**400}}), *CONFIG,
+                                    "state.two_mode.omega1: must be finite"),
+    "omega1-a-string": (TWO_MODE % b'"omega1": "x"', *CONFIG,
+                        "state.two_mode.omega1: expected a number, got 'x'"),
+    "a1-sq-null": (TWO_MODE % b'"a1_sq": null', *CONFIG,
+                   "state.two_mode.a1_sq: expected a number, got None"),
+    "omega2-infinite": (TWO_MODE % b'"omega2": 1e999', *CONFIG,
+                        "state.two_mode.omega2: must be finite, got inf"),
+    # packets past the support rule (x0=48, sigma=19.9 leaked 1.6e-10 under the
+    # old 6 sigma rule), and one inside it that leaks 4.8e-6 into the Nyquist mode
+    "packet-past-support": (_cfg(PC, state={"packet": {"sigma": 40.0}}), *BANDWIDTH, "support"),
+    "packet-at-the-old-support-limit": (
+        _cfg(PC, state={"packet": {"x0": 48.0, "k0": 3.0, "sigma": 19.9}}), *BANDWIDTH,
+        "packet support"),
+    "packet-leaks-into-the-nyquist-mode": (
+        _cfg(PC, state={"packet": {"x0": 0.0, "k0": 32.0, "sigma": 20.0}}), *BANDWIDTH,
+        "Nyquist mode carries"),
+    # mode entries; in the last row the k entry rounds to index 5
+    "mode-index-past-the-lattice": (_cfg(BD, state={"mode": {"index": 256}}), *BANDWIDTH,
+                                    "outside the open lattice range"),
+    "mode-index-and-k": (_cfg(BD, state={"mode": {"index": 3, "k": 1.0}}), *CONFIG,
+                         "give exactly one of 'index' or 'k'"),
+    "mode-k-off-the-lattice": (_cfg(SCAN, state={"modes": [{"amplitude_re": 1.0, "k": 0.1234}]}),
+                               *BANDWIDTH, "is off-lattice"),
+    "modes-off-unit-norm": (_cfg(SCAN, state={"modes": [{"amplitude_re": 0.5, "index": 3}]}),
+                            *CONFIG, "unitarity"),
+    "amplitude-squared-overflows": (
+        _cfg(SCAN, state={"modes": [{"amplitude_re": 1e300, "index": 3}]}), *CONFIG,
+        "(unitarity), got inf"),
+    "modes-on-one-lattice-index": (
+        _cfg(SCAN, state={"modes": [{"amplitude_re": 0.6, "index": 5}, {
+            "amplitude_re": 0.8, "k": 2.0 * math.pi * 5 / 400.0 + 1e-13}]}),
+        *CONFIG, "state.modes: mode wavenumbers must be distinct"),
+    # two-mode pairs
+    "two-mode-off-unit-norm": (_cfg(TWO, state={"two_mode": {"a1_sq": 0.5, "a2_sq": 0.2}}),
+                               *CONFIG, "unitarity"),
+    "two-mode-below-rest": (TWO_MODE % b'"omega1": 0.2', *CONFIG, "above the rest frequency"),
+    "two-mode-k-at-c-1e-160": (_cfg(TWO, units={"c": 1e-160, "m": 1e160}), *BANDWIDTH,
+                               "omega1: wavenumber 1e+160 lies at or beyond"),
+    "two-mode-omega1-1e300": (TWO_MODE % b'"omega1": 1e300', *BANDWIDTH,
+                              "omega1: wavenumber 9.999999999999999e+299"),
+    "two-mode-on-one-lattice-mode": (TWO_MODE % b'"omega1": 1.0, "omega2": 1.00001', *BANDWIDTH,
+                                     "frequencies resolve to the same lattice mode"),
+    "two-mode-past-nyquist": (TWO_MODE % b'"omega2": 1e6', *BANDWIDTH,
+                              "omega2: wavenumber 999999.9999995 lies at"),
+    # the physics itself: every lattice frequency and phase is finite, but the
+    # spectral derivative of the current overflows in this tiny box, and both
+    # nonrel-limit gaps are exactly 0 at strip_time 0, so their ratio is 0/0
+    "dj-dx-overflows": (_cfg(GD, grid={"n": 8192, "length": 1e-140},
+                             state={"packet": {**AT_REST, "sigma": 1e-142}}),
+                        *PHYSICS, "scenario 'gamma-density', stage runner: overflow"),
+    "nonrel-gaps-both-zero": (_cfg(NR, strip_time=0.0), *PHYSICS, "stage runner: invalid value"),
+}
 
 
-@pytest.mark.parametrize("two_mode_config", [
-    {"units": {"c": 1e-160, "m": 1e160}},  # (omega/c)**2 overflows
-    {"state": {"two_mode": {"omega1": 1e300}}},  # (omega/c)**2 overflows
-    {"state": {"two_mode": {"omega1": 1.0, "omega2": 1.00001}}},  # one lattice mode
-    {"state": {"two_mode": {"omega2": 1e6}}},  # k far beyond the Nyquist wavenumber
-])
-def test_validate_and_run_reject_unresolvable_two_mode(tmp_path, capsys, two_mode_config):
-    _assert_validate_and_run_fail(tmp_path, capsys, {"scenario": "two-mode", **two_mode_config},
-                                  3, "BandwidthError")
+# Rows that run under the names of the tests that first checked them, in
+# those tests' order; every other row runs as test_validate_and_run_refuse_alike.
+EXTREME_UNITS = ("rest-omega-underflows", "c-squared-underflows", "c-squared-overflows",
+                 "doubled-c-overflows")
+OVERFLOW_AND_UNRESOLVED_DT = (
+    "nyquist-omega-overflows", "phase-overflows", "strip-phase-overflows", "phase-all-rounding",
+    "phase-rounds-by-0.06-rad", "n-past-the-float-range", "time-past-the-float-range",
+    "omega1-past-the-float-range", "amplitude-squared-overflows", "max-k-overflows")
+UNRESOLVABLE_TWO_MODE = ("two-mode-k-at-c-1e-160", "two-mode-omega1-1e300",
+                         "two-mode-on-one-lattice-mode", "two-mode-past-nyquist")
+NAMED = EXTREME_UNITS + OVERFLOW_AND_UNRESOLVED_DT + UNRESOLVABLE_TWO_MODE
 
 
-@pytest.mark.parametrize("config", [
-    # (c k)**2 overflows at the Nyquist wavenumber of a tiny box
-    {"scenario": "gamma-density", "grid": {"n": 8192, "length": 1e-150},
-     "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 1e-152}}},
-    {"scenario": "packet-continuity", "times": [1e307]},  # omega * t overflows
-    {"scenario": "nonrel-limit", "strip_time": 1e308},  # omega * strip_time overflows
-    {"scenario": "packet-continuity", "times": [1e300]},  # the phase is all rounding
-    # The carrier's phase 5e14 rounds in steps of ulp(5e14) = 0.0625 rad.
-    {"scenario": "packet-continuity", "times": [1e14]},
-    # integers too large for a float
-    {"scenario": "packet-continuity", "grid": {"n": 10**400}},
-    {"scenario": "packet-continuity", "times": [10**400]},
-    {"scenario": "two-mode", "state": {"two_mode": {"omega1": 10**400}}},
-    # |a|^2 overflows
-    {"scenario": "superposition-scan", "state": {"modes": [{"amplitude_re": 1e300, "index": 3}]}},
-    # the Nyquist wavenumber pi n / L overflows
-    {"scenario": "packet-continuity", "grid": {"n": 8, "length": 1e-320}},
-])
-def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, capsys, config):
-    _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
+@pytest.mark.parametrize("config", [REJECTED[row] for row in EXTREME_UNITS])
+def test_extreme_units_exit_as_config_errors(tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    _assert_refused_alike(*config)
 
 
-@pytest.mark.parametrize("value, message", [
-    ('{"omega1": "x"}', "state.two_mode.omega1: expected a number, got 'x'"),
-    ('{"a1_sq": null}', "state.two_mode.a1_sq: expected a number, got None"),
-    ('{"omega2": 1e999}', "state.two_mode.omega2: must be finite, got inf"),
-])
-def test_two_mode_values_that_are_not_finite_numbers_exit_2(tmp_path, capsys, value, message):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{"scenario": "two-mode", "state": {"two_mode": %s}}' % value)
-    for argv in (["validate", str(cfg_path)],
-                 ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
-        assert captured.out == ""
+@pytest.mark.parametrize("config", [REJECTED[row] for row in OVERFLOW_AND_UNRESOLVED_DT])
+def test_validate_and_run_reject_overflow_and_unresolved_dt(tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    _assert_refused_alike(*config)
 
 
-def test_the_removed_dt_continuity_key_is_unknown(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_config_text("packet-continuity", dt_continuity=1e-3))
-    assert main(["validate", str(cfg_path)]) == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record == {"error": "ConfigError", "message": "dt_continuity: unknown key"}
+@pytest.mark.parametrize("two_mode_config", [REJECTED[row] for row in UNRESOLVABLE_TWO_MODE])
+def test_validate_and_run_reject_unresolvable_two_mode(tmp_path, monkeypatch, two_mode_config):
+    monkeypatch.chdir(tmp_path)
+    _assert_refused_alike(*two_mode_config)
 
 
-def test_mode_entries_on_one_lattice_index_fail_validate_and_run_alike(tmp_path, capsys):
-    # The k entry rounds to index 5: the two entries name one lattice mode.
-    k = 2.0 * math.pi * 5 / 400.0 + 1e-13
-    config = {"scenario": "superposition-scan", "state": {"modes": [
-        {"amplitude_re": 0.6, "index": 5}, {"amplitude_re": 0.8, "k": k}]}}
-    _assert_validate_and_run_fail(tmp_path, capsys, config, 2, "ConfigError")
+@pytest.mark.parametrize("row", [row for row in REJECTED if row not in NAMED])
+def test_validate_and_run_refuse_alike(tmp_path, monkeypatch, row):
+    monkeypatch.chdir(tmp_path)
+    _assert_refused_alike(*REJECTED[row])
+
+
+def _assert_refused_alike(config, code, error, fragment):
+    """Each command exits with the row's code and one record, warns of nothing
+    and leaves no file in the working directory: no --out directory, nor the
+    config's own output."""
+    if config is not None:
+        Path("cfg.json").write_bytes(config if isinstance(config, bytes)
+                                     else json.dumps(config).encode())
+    for argv in (["validate", "cfg.json"], ["run", "cfg.json", "--out", "out"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = _cli(argv)
+        assert caught == []
+        assert result[0] == code
+        record = _assert_exit_record(*result)
+        assert record["error"] == error
+        assert fragment in record["message"]
+    assert os.listdir() == ([] if config is None else ["cfg.json"])
 
 
 @pytest.mark.parametrize("config", [
@@ -491,28 +502,6 @@ def test_continuity_residual_stays_small_at_t_1e6(tmp_path):
     cfg = validate_config(_config_text("packet-continuity", times=[1e6]),
                           output_override=str(tmp_path))
     assert run_scenario(cfg).results["max_residual_conserved"] <= 1e-6
-
-
-def test_run_exits_2_when_the_physics_overflows(tmp_path, capsys):
-    # Every lattice frequency and phase is finite, but in this tiny box the
-    # spectral derivative of the current overflows: the run must stop with
-    # one JSON line instead of writing a NaN continuity residual.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "scenario": "gamma-density", "grid": {"n": 8192, "length": 1e-140},
-        "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 1e-142}}}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    assert caught == []
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["error"] == "FloatingPointError"
-    assert record["message"].startswith("scenario 'gamma-density', stage runner: overflow")
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
 
 
 def _limit_address_space():
@@ -585,30 +574,6 @@ def test_a_full_disk_while_writing_exits_4_and_removes_the_run(tmp_path, capsys,
                                                {"error": "OSError", "message": str(full)})
 
 
-def _assert_validate_and_run_fail(tmp_path, capsys, config, code, error):
-    """config is a dict, or the raw bytes of a config file."""
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-    for argv in (["validate", str(cfg_path)],
-                 ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]):
-        assert main(argv) == code
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == error
-        assert captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("text", [
-    b'{"scenario": "amended", "output": "\xff\xfe"}',
-    b'{"scenario":"amended","times":' + b"[" * 100_000,
-    b'{"scenario":"amended","times":' + b"[" * 500 + b"]" * 500 + b"}",
-], ids=["not-utf-8", "nested-past-the-parser", "nested-past-the-schema"])
-def test_a_bad_config_file_exits_2_without_a_traceback(tmp_path, capsys, text):
-    _assert_validate_and_run_fail(tmp_path, capsys, text, 2, "ConfigError")
-
-
 # One catalog run evolves each sample once: the initial state to each sample
 # time t, per series, plus nonrel-limit's strip-time evolves: four, less the
 # base-unit KG+ one when strip_time is a sample time, as by default.
@@ -643,19 +608,24 @@ TRANSFORM_CALLS = {
 def test_each_sample_is_evolved_once(tmp_path, monkeypatch, transform_calls, name):
     calls = []
     evolve = kg_lab.scenarios.evolve
-
-    def counting_evolve(state, t):
-        calls.append(t)
-        return evolve(state, t)
-
-    monkeypatch.setattr(kg_lab.scenarios, "evolve", counting_evolve)
-    config = validate_config(json.dumps(default_config(name)), output_override=str(tmp_path))
+    monkeypatch.setattr(kg_lab.scenarios, "evolve",
+                        lambda state, t: calls.append(t) or evolve(state, t))
+    config = validate_config(_config_text(name), output_override=str(tmp_path / "out"))
     transform_calls.clear()  # validate builds the initial state; count the run alone
     run_scenario(config)
     assert len(calls) == EVOLVE_CALLS[name]
     assert transform_calls["rfft"] == transform_calls["irfft"]
     assert (transform_calls["forward_transform"] + transform_calls["inverse_transform"],
             transform_calls["rfft"] + transform_calls["irfft"]) == TRANSFORM_CALLS[name]
+    # kg-lab validate evolves what run evolves, and writes nothing: not even
+    # the config's default output directory in its working directory.
+    calls.clear()
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(_config_text(name))
+    code, out, err = _cli(["validate", "cfg.json"])
+    assert (code, err, len(calls)) == (0, "", EVOLVE_CALLS[name])
+    assert out.startswith(f"OK: {name} (")
+    assert sorted(os.listdir()) == ["cfg.json", "out"]
 
 
 def test_nonrel_limit_gaps_do_not_depend_on_the_sample_times(tmp_path):
@@ -665,26 +635,6 @@ def test_nonrel_limit_gaps_do_not_depend_on_the_sample_times(tmp_path):
                                          output_override=str(tmp_path))).results["gaps"]
             for times in ([5.0], [0.0])]
     assert gaps[0] == gaps[1]
-
-
-def test_cli_error_exit_codes(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(_config_text("packet-continuity", bogus=1))
-    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "ConfigError"
-    assert "bogus" in record["message"]
-
-    support = tmp_path / "support.json"
-    support.write_text(_config_text("packet-continuity",
-                                    state={"packet": {"sigma": 40.0}}))
-    assert main(["validate", str(support)]) == 3
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "BandwidthError"
-
-    assert main(["run", str(tmp_path / "missing.json")]) == 4
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -793,22 +743,6 @@ def state_blocks(draw):
                  "omega1": draw(st.floats(1.0, 3.0)), "omega2": draw(st.floats(1.0, 3.0))}
     return {"scenario": name, "grid": {"n": n, "length": length}, "state": {form: block},
             "times": [0.0, 1.0]}
-
-
-def _cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def _assert_exit_record(code, out, err):
-    """A nonzero exit prints nothing on stdout and one JSON record on stderr."""
-    if code != 0:
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "message"}
-        assert out == ""
 
 
 @settings(deadline=None)  # each example writes files
