@@ -167,7 +167,8 @@ def _merge_strict(default: Any, user: Any, path: str) -> Any:
 class ScenarioConfig:
     """A fully resolved, validated scenario run, with the positive-branch
     initial state it names and the spec that state was built from (modes
-    for every mode form, state.mode as a one-mode set)."""
+    for every mode form, state.mode as a one-mode set). nonrel-limit's
+    doubled_units is its unit system with c raised by c_factor."""
 
     scenario: str
     resolved: dict[str, Any]
@@ -182,7 +183,7 @@ class ScenarioConfig:
     modes: Optional[ModeSet] = None
     two_mode: Optional[TwoModeSpec] = None
     strip_time: Optional[float] = None
-    c_factor: Optional[float] = None
+    doubled_units: Optional[UnitSystem] = None
 
 
 def _lattice_k(grid: Grid1D, index: int, path: str) -> float:
@@ -224,11 +225,10 @@ def _mode_entry(entry: Any, path: str, keys: set[str],
            for name in ("amplitude_re", "amplitude_im") if name in keys}
     if "index" in entry:
         j = out["index"] = int(_require_number(entry["index"], f"{path}.index", integer=True))
-    else:
-        k = out["k"] = float(_require_number(entry["k"], f"{path}.k"))
-        position = grid.wavenumber_index(k)  # off-lattice -> BandwidthError
-        j = position if position < grid.n // 2 else position - grid.n
-    return out, _lattice_k(grid, j, path)
+        return out, _lattice_k(grid, j, path)
+    k = out["k"] = float(_require_number(entry["k"], f"{path}.k"))
+    # Off the lattice, or on its Nyquist mode: BandwidthError.
+    return out, float(grid.wavenumbers[grid.wavenumber_index(k)])
 
 
 def _check_max_omega(kind: DispersionKind, grid: Grid1D, units: UnitSystem, reach: float,
@@ -344,7 +344,8 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
     if not times:
         raise ConfigError("times: must list at least one sample time")
     times = tuple(float(_require_number(t, f"times[{i}]")) for i, t in enumerate(times))
-    spread_tol = float(_require_number(resolved["gamma_spread_tol"], "gamma_spread_tol"))
+    # _merge_strict has checked that each scalar is a finite number.
+    spread_tol = float(resolved["gamma_spread_tol"])
     if spread_tol <= 0:
         raise ConfigError(f"gamma_spread_tol: must be positive, got {spread_tol}")
 
@@ -352,21 +353,21 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
 
     systems = [units]
     if "c_factor" in resolved:
-        factor = float(_require_number(resolved["c_factor"], "c_factor"))
+        factor = float(resolved["c_factor"])
         if factor <= 1.0:
             raise ConfigError(f"c_factor: must exceed 1, got {factor}")
-        try:  # the unit system the run builds with c raised by the factor
-            systems.append(UnitSystem(hbar=units.hbar, c=units.c * factor, m=units.m))
+        try:
+            kwargs["doubled_units"] = UnitSystem(hbar=units.hbar, c=units.c * factor, m=units.m)
         except ValueError as exc:
             raise ConfigError(f"c_factor: {exc}") from exc
-        kwargs["c_factor"] = factor
+        systems.append(kwargs["doubled_units"])
 
     # Every series is evolved to each sample time (the negative branch has
     # the same |omega|); nonrel-limit also evolves both its branches, in
     # both unit systems, to strip_time.
     _check_max_omega(_KG_PLUS, grid, units, max(abs(t) for t in times), "times")
     if "strip_time" in resolved:
-        strip = float(_require_number(resolved["strip_time"], "strip_time"))
+        strip = float(resolved["strip_time"])
         for system in systems:
             for kind in (_KG_PLUS, DispersionKind.SCHRODINGER):
                 _check_max_omega(kind, grid, system, abs(strip), "strip_time")
@@ -659,9 +660,7 @@ def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
     # The main series holds the base-unit KG+ packet at each of its times.
     sampled = {t: f.result.state for t, f in zip(config.times, samples)}
     gaps = {}
-    for label, factor in (("base", 1.0), ("doubled", config.c_factor)):
-        units = UnitSystem(hbar=config.units.hbar, c=config.units.c * factor,
-                           m=config.units.m)
+    for label, units in (("base", config.units), ("doubled", config.doubled_units)):
         # A packet's coefficients depend on neither the units nor the kind.
         kg_t, sch_t = (
             sampled[strip] if label == "base" and kind is _KG_PLUS and strip in sampled

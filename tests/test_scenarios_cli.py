@@ -44,19 +44,10 @@ SMALL = dict(
 )
 
 
-def test_defaults_fill_in():
-    cfg = validate_config(_config_text("packet-continuity"))
-    assert cfg.scenario == "packet-continuity"
-    assert cfg.resolved == default_config("packet-continuity")
-    assert cfg.times == tuple(default_config("packet-continuity")["times"])
-    assert cfg.packet.sigma == 10.0
-    assert cfg.fmt == "csv"
-
-
 def test_catalog_is_not_mutated_by_overrides():
-    before = json.dumps(default_config("gamma-density"), sort_keys=True, default=str)
-    validate_config(_config_text("gamma-density", times=[1.0]))
-    assert json.dumps(default_config("gamma-density"), sort_keys=True, default=str) == before
+    before = json.dumps(default_config("amended"), sort_keys=True, default=str)
+    validate_config(_config_text("amended", times=[1.0]))
+    assert json.dumps(default_config("amended"), sort_keys=True, default=str) == before
 
 
 def test_every_catalog_default_validates_at_t_1e6():
@@ -93,37 +84,6 @@ def test_k_and_index_selectors_name_the_same_state(name, j):
     assert np.array_equal(by_k.state.coefficients, by_index.state.coefficients)
 
 
-def test_run_writes_expected_files(tmp_path):
-    cfg = validate_config(_config_text("gamma-density", **SMALL),
-                          output_override=str(tmp_path))
-    result = run_scenario(cfg)
-    names = sorted(p.name for p in result.files)
-    assert names == ["gamma-density_fields.csv", "gamma-density_run.json",
-                     "gamma-density_summary.csv"]
-    fields = (tmp_path / "gamma-density_fields.csv").read_text().splitlines()
-    assert fields[0] == ",".join(FIELD_COLUMNS)
-    assert len(fields) == 1 + 512 * 2  # header + n rows per sample time
-    summary = (tmp_path / "gamma-density_summary.csv").read_text().splitlines()
-    assert summary[0] == ",".join(SUMMARY_COLUMNS)
-    assert len(summary) == 3
-
-    meta = json.loads((tmp_path / "gamma-density_run.json").read_text())
-    assert meta["scenario"] == "gamma-density"
-    assert meta["config"]["grid"]["n"] == 512
-    assert meta["config"]["output"] == str(tmp_path)  # overrides are echoed
-    assert set(meta["derived"]) == {"gamma_bar", "gamma_spread", "gamma_spread_flag"}
-    assert meta["results"]["density_vs_gamma"][0]["max_rel_deviation"] < 1e-2
-
-    # The default packet's relative gamma spread is about 0.003: the flag is
-    # raised against a tolerance below it and not against the default 0.01.
-    for tol, flag in ((0.01, False), (1e-9, True)):
-        out = tmp_path / f"tol-{tol}"
-        run_scenario(validate_config(_config_text("gamma-density", gamma_spread_tol=tol),
-                                     output_override=str(out)))
-        meta = json.loads((out / "gamma-density_run.json").read_text())
-        assert meta["derived"]["gamma_spread_flag"] is flag
-
-
 # branch-demo writes no derived block; every other scenario's is the gamma
 # statistics of its initial state.
 @pytest.mark.parametrize("name", [n for n in scenario_names() if n != "branch-demo"])
@@ -142,7 +102,7 @@ def test_derived_block_is_the_initial_states_gamma_statistics(tmp_path, name):
 
 def test_series_columns_hold_the_named_observables(tmp_path):
     # Each column of the tables, by its name, against the observable it names.
-    cfg = validate_config(_config_text("gamma-density", **SMALL),
+    cfg = validate_config(_config_text("amended", **SMALL),
                           output_override=str(tmp_path))
     series = run_scenario(cfg).series["main"]
     grid = cfg.grid
@@ -165,31 +125,9 @@ def test_series_columns_hold_the_named_observables(tmp_path):
         assert series.summary[i].tolist() == [scalars[name] for name in SUMMARY_COLUMNS]
 
 
-def test_run_json_format(tmp_path):
-    cfg = validate_config(_config_text("gamma-density", **SMALL),
-                          output_override=str(tmp_path), format_override="json")
-    result = run_scenario(cfg)
-    names = sorted(p.name for p in result.files)
-    assert names == ["gamma-density_fields.json", "gamma-density_run.json",
-                     "gamma-density_summary.json"]
-    payload = json.loads((tmp_path / "gamma-density_fields.json").read_text())
-    block = payload["fields"][0]
-    assert len(block["x"]) == 512
-    assert set(FIELD_COLUMNS[2:]) <= set(block)
-    summary = json.loads((tmp_path / "gamma-density_summary.json").read_text())
-    assert [row["t"] for row in summary["summary"]] == [0.0, 5.0]
-
-
 def test_branch_demo_writes_both_branches(tmp_path):
     cfg = validate_config(_config_text("branch-demo"), output_override=str(tmp_path))
-    result = run_scenario(cfg)
-    names = {p.name for p in result.files}
-    assert names == {
-        "branch-demo_positive_fields.csv", "branch-demo_positive_summary.csv",
-        "branch-demo_negative_fields.csv", "branch-demo_negative_summary.csv",
-        "branch-demo_run.json",
-    }
-    ratios = result.results["branches"]
+    ratios = run_scenario(cfg).results["branches"]
     assert ratios["positive"]["density_ratio_mean"][0] == pytest.approx(1.25, abs=1e-12)
     assert ratios["negative"]["density_ratio_mean"][0] == pytest.approx(-1.25, abs=1e-12)
 
@@ -206,9 +144,7 @@ def test_run_json_reports_the_lattice_the_state_evolves_with(tmp_path, name):
     # Each reported k is the grid's lattice wavenumber and each omega the
     # state's own frequency at that position, bit for bit.
     cfg = validate_config(_config_text(name), output_override=str(tmp_path))
-    run_scenario(cfg)
-    results = json.loads((tmp_path / f"{name}_run.json").read_text())["results"]
-    block, k_keys, omega_keys = REALIZED_LATTICE[name](results)
+    block, k_keys, omega_keys = REALIZED_LATTICE[name](run_scenario(cfg).results)
     index = [cfg.grid.wavenumber_index(k) for _, k in cfg.modes.modes]
     assert sorted(index) == np.flatnonzero(cfg.state.coefficients).tolist()
     bits = lambda values: np.array(values, dtype=np.float64).view(np.uint64).tolist()
@@ -220,19 +156,19 @@ def test_rerun_replaces_each_output_file(tmp_path):
     # A rerun writes each output as a new file: a hard link to the old one
     # keeps the first run's bytes, and a symlink is replaced, not followed.
     out = tmp_path / "out"
-    run_scenario(validate_config(_config_text("gamma-density", **SMALL),
+    run_scenario(validate_config(_config_text("amended", **SMALL),
                                  output_override=str(out)))
-    fields = out / "gamma-density_fields.csv"
+    fields = out / "amended_fields.csv"
     first = fields.read_bytes()
     kept = tmp_path / "kept.csv"
     os.link(fields, kept)
     target = tmp_path / "target.csv"
     target.write_bytes(b"target\n")
-    summary = out / "gamma-density_summary.csv"
+    summary = out / "amended_summary.csv"
     summary.unlink()
     summary.symlink_to(target)
 
-    run_scenario(validate_config(_config_text("gamma-density", **{**SMALL, "times": [5.0]}),
+    run_scenario(validate_config(_config_text("amended", **{**SMALL, "times": [5.0]}),
                                  output_override=str(out)))
     assert kept.read_bytes() == first
     assert not os.path.samefile(fields, kept)
@@ -243,10 +179,10 @@ def test_rerun_replaces_each_output_file(tmp_path):
     assert target.read_bytes() == b"target\n"
 
 
-@pytest.mark.parametrize("blocked", ["gamma-density_run.json", "gamma-density_fields.csv"])
+@pytest.mark.parametrize("blocked", ["amended_run.json", "amended_fields.csv"])
 def test_run_exits_4_when_an_output_path_is_a_directory(tmp_path, capsys, blocked):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_config_text("gamma-density", **SMALL))
+    cfg_path.write_text(_config_text("amended", **SMALL))
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 4
@@ -261,40 +197,22 @@ def test_run_exits_4_when_an_output_path_is_a_directory(tmp_path, capsys, blocke
     assert [p.name for p in out.iterdir()] == [blocked]
 
 
-def test_cli_run_and_validate(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_config_text("gamma-density", **SMALL))
-    out_dir = tmp_path / "out"
-
-    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
-    text = capsys.readouterr().out
-    assert "scenario: gamma-density" in text
-    assert "wrote" in text
-    assert (out_dir / "gamma-density_run.json").exists()
-
-    assert main(["run", str(cfg_path), "--out", str(out_dir), "--quiet"]) == 0
-    assert capsys.readouterr().out == ""
-
-    assert main(["validate", str(cfg_path)]) == 0
-    assert capsys.readouterr().out.startswith("OK: gamma-density")
-
-
 def test_consecutive_main_calls_share_no_parse_state(tmp_path, capsys):
     # One parser serves every main call in a process; each call's options
     # are its own.
     assert build_parser() is build_parser()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_config_text("gamma-density", **SMALL))
+    cfg_path.write_text(_config_text("amended", **SMALL))
     out_dir = tmp_path / "out"
     assert main(["validate", str(cfg_path)]) == 0
-    assert capsys.readouterr().out.startswith("OK: gamma-density")
+    assert capsys.readouterr().out.startswith("OK: amended")
     assert main(["run", str(cfg_path), "--out", str(out_dir), "--format", "json",
                  "--quiet"]) == 0
     assert capsys.readouterr().out == ""
     assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("scenario: gamma-density\n  " + " ".join(SUMMARY_COLUMNS))
-    assert f"wrote {out_dir / 'gamma-density_fields.csv'}" in text
+    assert text.startswith("scenario: amended\n  " + " ".join(SUMMARY_COLUMNS))
+    assert f"wrote {out_dir / 'amended_fields.csv'}" in text
 
 
 def test_cli_scenarios_lists_catalog(capsys):
@@ -326,7 +244,7 @@ def _assert_exit_record(code, out, err):
     return record
 
 
-PC, GD, BD, TWO, SCAN, NR = ("packet-continuity", "gamma-density", "branch-demo", "two-mode",
+PC, AM, BD, TWO, SCAN, NR = ("packet-continuity", "amended", "branch-demo", "two-mode",
                              "superposition-scan", "nonrel-limit")
 CONFIG, BANDWIDTH, PHYSICS = (2, "ConfigError"), (3, "BandwidthError"), (2, "FloatingPointError")
 AT_REST = {"x0": 0.0, "k0": 0.0}
@@ -362,7 +280,7 @@ REJECTED = {
     # lattice frequencies that overflow; phases omega * t that overflow or
     # that rounding has made meaningless (ulp(5e14) is 0.0625 rad)
     "max-k-overflows": (_cfg(PC, grid={"n": 8, "length": 1e-320}), *CONFIG, "pi*n/L overflows"),
-    "nyquist-omega-overflows": (_cfg(GD, grid={"n": 8192, "length": 1e-150},
+    "nyquist-omega-overflows": (_cfg(AM, grid={"n": 8192, "length": 1e-150},
                                      state={"packet": {**AT_REST, "sigma": 1e-152}}), *CONFIG,
                                 "grid: the kg+ frequency at the Nyquist wavenumber is inf"),
     "phase-overflows": (_cfg(PC, times=[1e307]), *CONFIG, "times: the phase"),
@@ -420,9 +338,9 @@ REJECTED = {
     # the physics itself: every lattice frequency and phase is finite, but the
     # spectral derivative of the current overflows in this tiny box, and both
     # nonrel-limit gaps are exactly 0 at strip_time 0, so their ratio is 0/0
-    "dj-dx-overflows": (_cfg(GD, grid={"n": 8192, "length": 1e-140},
+    "dj-dx-overflows": (_cfg(AM, grid={"n": 8192, "length": 1e-140},
                              state={"packet": {**AT_REST, "sigma": 1e-142}}),
-                        *PHYSICS, "scenario 'gamma-density', stage runner: overflow"),
+                        *PHYSICS, "scenario 'amended', stage runner: overflow"),
     "nonrel-gaps-both-zero": (_cfg(NR, strip_time=0.0), *PHYSICS, "stage runner: invalid value"),
 }
 
@@ -513,7 +431,7 @@ def _limit_address_space():
 def test_a_config_too_large_for_memory_exits_2_and_writes_nothing(tmp_path):
     # The grid alone needs 2 GiB per array.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"scenario": "gamma-density",
+    cfg_path.write_text(json.dumps({"scenario": "amended",
                                     "grid": {"n": 2**28, "length": 4e6}}))
     env = {**os.environ, "PYTHONPATH": str(Path(kg_lab.__file__).parents[1]),
            "OMP_NUM_THREADS": "1"}
@@ -539,7 +457,7 @@ def _assert_a_failure_mid_file_removes_the_run(tmp_path, capsys, monkeypatch, er
     # before the file is opened.
     format_rows = kg_lab.scenarios.format_rows
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_config_text("gamma-density", **SMALL))
+    cfg_path.write_text(_config_text("amended", **SMALL))
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
         chunks, present = [], []
@@ -556,7 +474,7 @@ def _assert_a_failure_mid_file_removes_the_run(tmp_path, capsys, monkeypatch, er
         monkeypatch.setattr(kg_lab.scenarios, "format_rows", failing)
         assert main(["run", str(cfg_path), "--out", str(out), "--format", fmt, "--quiet"]) == code
         assert len(chunks) == 2
-        assert present == [f"gamma-density_fields.{fmt}"]
+        assert present == [f"amended_fields.{fmt}"]
         captured = capsys.readouterr()
         assert [json.loads(line) for line in captured.err.splitlines()] == [record]
         assert list(out.iterdir()) == []
@@ -582,23 +500,18 @@ def test_a_full_disk_while_writing_exits_4_and_removes_the_run(tmp_path, capsys,
 # dpsi/dt, dpsi/dx and the continuity defect's psi_tt. The defect's dj/dx
 # of the real current is one rfft and one irfft; packet-continuity's
 # amended defect takes dj/dx of its own current. nonrel-limit also reads
-# psi of each strip-time evolve.
+# psi of each strip-time evolve. A scenario not listed evolves one state to
+# its one sample time: one evolve, and (4, 2) transforms.
 EVOLVE_CALLS = {
     "packet-continuity": 6,
-    "gamma-density": 1,
-    "amended": 1,
     "branch-demo": 2,
-    "two-mode": 1,
     "superposition-scan": 3,
     "nonrel-limit": 4,
 }
 # (forward_transform + inverse_transform, rfft + irfft) per catalog pass.
 TRANSFORM_CALLS = {
     "packet-continuity": (24, 24),
-    "gamma-density": (4, 2),
-    "amended": (4, 2),
     "branch-demo": (8, 4),
-    "two-mode": (4, 2),
     "superposition-scan": (12, 6),
     "nonrel-limit": (7, 2),
 }
@@ -613,17 +526,18 @@ def test_each_sample_is_evolved_once(tmp_path, monkeypatch, transform_calls, nam
     config = validate_config(_config_text(name), output_override=str(tmp_path / "out"))
     transform_calls.clear()  # validate builds the initial state; count the run alone
     run_scenario(config)
-    assert len(calls) == EVOLVE_CALLS[name]
+    evolves = EVOLVE_CALLS.get(name, 1)
+    assert len(calls) == evolves
     assert transform_calls["rfft"] == transform_calls["irfft"]
     assert (transform_calls["forward_transform"] + transform_calls["inverse_transform"],
-            transform_calls["rfft"] + transform_calls["irfft"]) == TRANSFORM_CALLS[name]
+            transform_calls["rfft"] + transform_calls["irfft"]) == TRANSFORM_CALLS.get(name, (4, 2))
     # kg-lab validate evolves what run evolves, and writes nothing: not even
     # the config's default output directory in its working directory.
     calls.clear()
     monkeypatch.chdir(tmp_path)
     Path("cfg.json").write_text(_config_text(name))
     code, out, err = _cli(["validate", "cfg.json"])
-    assert (code, err, len(calls)) == (0, "", EVOLVE_CALLS[name])
+    assert (code, err, len(calls)) == (0, "", evolves)
     assert out.startswith(f"OK: {name} (")
     assert sorted(os.listdir()) == ["cfg.json", "out"]
 
@@ -662,17 +576,6 @@ def test_help_still_exits_0(capsys):
     assert "usage: kg-lab" in capsys.readouterr().out
 
 
-def test_cli_format_override(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_config_text("gamma-density", **SMALL))
-    out_dir = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--out", str(out_dir), "--format", "json",
-                 "--quiet"]) == 0
-    capsys.readouterr()
-    assert (out_dir / "gamma-density_fields.json").exists()
-    assert not (out_dir / "gamma-density_fields.csv").exists()
-
-
 def test_console_script_smoke():
     # The installed console script when it is on PATH, else the same entry
     # point through the interpreter, importing the kg_lab these tests import.
@@ -684,17 +587,6 @@ def test_console_script_smoke():
     proc = subprocess.run(argv + ["scenarios"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "packet-continuity" in proc.stdout
-
-
-def test_summary_metadata_floats_are_full_precision(tmp_path):
-    cfg = validate_config(_config_text("gamma-density", **SMALL),
-                          output_override=str(tmp_path))
-    run_scenario(cfg)
-    meta = (tmp_path / "gamma-density_run.json").read_text()
-    gamma = json.loads(meta)["derived"]["gamma_bar"]
-    # 17 significant digits round-trip doubles exactly.
-    assert f"{gamma:.17g}" in meta
-    assert np.isfinite(gamma)
 
 
 # Small grids: (n, length), one of them with integer lattice wavenumbers.

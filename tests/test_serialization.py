@@ -1,21 +1,32 @@
-"""Float text of the scenario writers against a per-value reference.
+"""The catalog's output contract, and float text against a per-value reference.
 
 The writers format whole tables at once and stream them to their file chunk
 by chunk; the reference formats one value at a time with format(x, ".17g")
 and spells non-finite values NaN, Infinity and -Infinity. The two must agree
 byte for byte, for tables of one chunk and of several.
+
+Every default config is run once per format through kg-lab run: each run meets
+one output law, and all outputs must match the SHA-256 manifest catalog_sha256.json,
+which `PYTHONPATH=src python tests/test_serialization.py` regenerates.
 """
+import contextlib
 import functools
+import hashlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kg_lab import __version__, cli
 from kg_lab._floattext import _CHUNK_VALUES
 from kg_lab.scenarios import (
     FIELD_COLUMNS,
@@ -25,6 +36,7 @@ from kg_lab.scenarios import (
     _dump,
     _series_files,
     _write_file,
+    default_config,
     run_scenario,
     scenario_names,
     validate_config,
@@ -114,13 +126,6 @@ def _written(out_dir, body):
     return path.read_text()
 
 
-def _assert_json_matches(series, out_dir):
-    bodies = _series_files(series, "json")
-    assert list(bodies) == ["fields", "summary"]
-    assert _written(out_dir, bodies["fields"]) == _ref_fields_json(series.fields)
-    assert _written(out_dir, bodies["summary"]) == _ref_summary_json(series.summary)
-
-
 @given(arrays)
 def test_json_array_matches_per_value_reference(out_dir, values):
     assert _written(out_dir, functools.partial(_dump, values)) == _ref_array(values)
@@ -134,39 +139,119 @@ def test_csv_matches_per_value_reference(out_dir, drawn):
 
 @given(series_strategy)
 def test_series_json_matches_per_value_reference(out_dir, series):
-    _assert_json_matches(series, out_dir)
+    bodies = _series_files(series, "json")
+    assert list(bodies) == ["fields", "summary"]
+    assert _written(out_dir, bodies["fields"]) == _ref_fields_json(series.fields)
+    assert _written(out_dir, bodies["summary"]) == _ref_summary_json(series.summary)
 
 
-def test_branch_demo_negative_series_matches_per_value_reference(tmp_path):
-    cfg = validate_config(json.dumps({"scenario": "branch-demo"}), output_override=str(tmp_path))
-    series = run_scenario(cfg).series["negative"]
-    amended = [FIELD_COLUMNS.index(name) for name in ("rho_amended", "j_amended")]
-    assert np.isnan(series.fields[:, :, amended]).all()
-    fields = (tmp_path / "branch-demo_negative_fields.csv").read_text()
-    assert fields == _ref_csv(series.fields, FIELD_COLUMNS)
-    summary = (tmp_path / "branch-demo_negative_summary.csv").read_text()
-    assert "NaN" in summary
-    assert summary == _ref_csv(series.summary, SUMMARY_COLUMNS)
-    _assert_json_matches(series, tmp_path)
+MANIFEST = Path(__file__).with_name("catalog_sha256.json")
+REGENERATE = "PYTHONPATH=src python tests/test_serialization.py"
+FORMATS = ("csv", "json")
+
+
+def _run_catalog(root):
+    """Run every default config once per format through kg-lab run in root, each
+    to the relative out/<format>/<scenario> that _run.json echoes. Returns root
+    and each run's stdout and RunResult, by (scenario, format)."""
+    returned, runs = [], {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        patch.setattr(cli, "run_scenario",
+                      lambda config: returned.append(run_scenario(config)) or returned[-1])
+        for name in scenario_names():
+            Path(f"{name}.json").write_text(json.dumps({"scenario": name}))
+            for fmt in FORMATS:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    argv = ["run", f"{name}.json", "--out", f"out/{fmt}/{name}", "--format", fmt]
+                    if cli.main(argv):
+                        raise RuntimeError(f"kg-lab {' '.join(argv)} failed")
+                runs[name, fmt] = stdout.getvalue(), returned.pop()
+    return root, runs
+
+
+def _sha256(root):
+    """The SHA-256 of each output of a catalog run in root, by <format>/<file name>."""
+    return {f"{path.parts[-3]}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in root.glob("out/*/*/*")}
+
+
+def _fingerprint():
+    """What output bytes depend on beyond kg_lab: numpy and its SIMD extensions."""
+    return {"numpy": np.__version__, "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
+
+
+def _changes(old, new):
+    """The <format>/<file name>s added, removed and changed from hashes old to new."""
+    kinds = {"added": new.keys() - old.keys(), "removed": old.keys() - new.keys(),
+             "changed": {name for name in old.keys() & new.keys() if old[name] != new[name]}}
+    return [f"{kind}: {', '.join(sorted(names))}" for kind, names in kinds.items() if names]
+
+
+@pytest.fixture(scope="module")
+def catalog(tmp_path_factory):
+    return _run_catalog(tmp_path_factory.mktemp("catalog"))
+
+
+def test_catalog_outputs_match_the_manifest(catalog):
+    manifest = json.loads(MANIFEST.read_text())
+    assert manifest["fingerprint"] == _fingerprint(), (
+        f"{MANIFEST.name} was written under {manifest['fingerprint']}, not {_fingerprint()}; "
+        f"regenerate it with {REGENERATE}")
+    changes = _changes(manifest["sha256"], _sha256(catalog[0]))
+    assert not changes, (f"catalog outputs differ from {MANIFEST.name} ({'; '.join(changes)}); "
+                         f"a declared output change regenerates it with {REGENERATE}")
+
+
+def _bits(node):
+    """A JSON value with each number as the hex text of its float, so that ==
+    compares bit for bit. '%.17g' writes -0.0 as -0: parse with parse_int=float."""
+    if isinstance(node, (dict, list, tuple)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {key: _bits(value) for key, value in items}
+    number = isinstance(node, (int, float)) and not isinstance(node, bool)
+    return float(node).hex() if number else node
 
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_catalog_outputs_match_per_value_reference(name, tmp_path):
-    cfg = validate_config(json.dumps({"scenario": name}), output_override=str(tmp_path))
-    result = run_scenario(cfg)
-    for label, series in result.series.items():
-        stem = name if label == "main" else f"{name}_{label}"
-        fields, summary = series.fields, series.summary
-        assert fields.dtype == summary.dtype == np.float64
-        assert fields.shape == (len(cfg.times), cfg.grid.n, len(FIELD_COLUMNS))
-        assert summary.shape == (len(cfg.times), len(SUMMARY_COLUMNS))
-        # Each block holds its sample time and the grid; the summary, the times.
-        assert (fields[:, :, 0] == np.array(cfg.times)[:, None]).all()
-        assert (fields[:, :, 1] == cfg.grid.points).all()
-        assert (summary[:, 0] == cfg.times).all()
-        assert (tmp_path / f"{stem}_fields.csv").read_text() == _ref_csv(fields, FIELD_COLUMNS)
-        assert (tmp_path / f"{stem}_summary.csv").read_text() == _ref_csv(summary, SUMMARY_COLUMNS)
-        _assert_json_matches(series, tmp_path)
+def test_catalog_outputs_match_per_value_reference(catalog, name):
+    # The output law of each format's run: a fields and a summary file per series,
+    # then _run.json, each named on stdout; each table the per-value text of the
+    # array the run returned; _run.json the config with the run's overrides.
+    root, runs = catalog
+    config = validate_config(json.dumps({"scenario": name}))
+    times = config.times
+    for fmt in FORMATS:
+        stdout, result = runs[name, fmt]
+        out = Path("out", fmt, name)
+        stems = [name if label == "main" else f"{name}_{label}" for label in result.series]
+        files = [out / f"{stem}_{table}.{fmt}" for stem in stems for table in ("fields", "summary")]
+        assert result.files == files + [out / f"{name}_run.json"]
+        assert sorted(os.listdir(root / out)) == sorted(path.name for path in result.files)
+        assert stdout.startswith(f"scenario: {name}\n")
+        assert stdout.endswith("".join(f"wrote {path}\n" for path in result.files))
+
+        for i, series in enumerate(result.series.values()):
+            fields, summary = series.fields, series.summary
+            assert fields.dtype == summary.dtype == np.float64
+            assert fields.shape == (len(times), config.grid.n, len(FIELD_COLUMNS))
+            assert summary.shape == (len(times), len(SUMMARY_COLUMNS))
+            # Each block holds its sample time and the grid; the summary, the times.
+            assert (fields[:, :, 0].T == times).all()
+            assert (fields[:, :, 1] == config.grid.points).all()
+            assert (summary[:, 0] == times).all()
+            if fmt == "csv":
+                refs = _ref_csv(fields, FIELD_COLUMNS), _ref_csv(summary, SUMMARY_COLUMNS)
+            else:
+                refs = _ref_fields_json(fields), _ref_summary_json(summary)
+            assert tuple((root / path).read_text() for path in files[2 * i:2 * i + 2]) == refs
+
+        meta = json.loads((root / out / f"{name}_run.json").read_text(), parse_int=float)
+        assert _bits(meta) == _bits({
+            "scenario": name, "version": __version__,
+            "config": {**default_config(name), "output": str(out), "format": fmt},
+            "derived": result.derived, "results": result.results})
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -191,3 +276,13 @@ def test_writing_a_series_holds_no_file_text_whole(fmt, tmp_path):
     one, eight = peak(1), peak(8)
     assert (tmp_path / f"fields.{fmt}").stat().st_size > 5 * 2**20
     assert eight - one < 2**20
+
+
+if __name__ == "__main__":
+    # Regenerate the manifest from a catalog run, and name the files it changed.
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = _sha256(_run_catalog(Path(tmp))[0])
+    old = json.loads(MANIFEST.read_text())["sha256"] if MANIFEST.exists() else {}
+    MANIFEST.write_text(json.dumps({"fingerprint": _fingerprint(), "sha256": hashes},
+                                   indent=2, sort_keys=True) + "\n")
+    print("\n".join(_changes(old, hashes)) or "no output changed")
