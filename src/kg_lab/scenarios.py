@@ -601,18 +601,18 @@ def _run_gamma_density(config: ScenarioConfig) -> _RunnerOutput:
 
 def _run_amended(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
-    vg = group_velocity(_KG_PLUS, config.packet.k0, config.units)
-    derived["group_velocity_carrier"] = vg
+    # The peak's velocity is reported beside the carrier's group velocity,
+    # not divided by it: a packet at rest has a group velocity of 0.
+    derived["group_velocity_carrier"] = group_velocity(_KG_PLUS, config.packet.k0, config.units)
     rows = []
     for t, fields in zip(config.times, samples):
         gap = np.linalg.norm(fields.rho_amended - fields.rho_nonrel)
         ref = np.linalg.norm(fields.rho_nonrel)
         peak = int(np.argmax(fields.rho_amended))
-        velocity = fields.j_amended[peak] / fields.rho_amended[peak]
         rows.append({
             "t": t,
             "l2_ratio_to_nonrel": float(gap / ref),
-            "peak_velocity_ratio": float(velocity / vg),
+            "peak_velocity": float(fields.j_amended[peak] / fields.rho_amended[peak]),
         })
     return series, derived, {"amended_reduction": rows}
 

@@ -416,6 +416,16 @@ def test_continuity_defect_stays_at_rounding_for_states_at_rest(tmp_path, config
         assert run.results.get(key, 0.0) <= 1e-9
 
 
+def test_amended_packet_at_rest_reports_its_peak_velocity(tmp_path, monkeypatch):
+    # Its carrier's group velocity is 0, and j/rho at the peak is rounding noise.
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(_config_text("amended", state={"packet": AT_REST}))
+    assert _cli(["validate", "cfg.json"])[0] == 0
+    assert _cli(["run", "cfg.json", "--out", "out", "--quiet"]) == (0, "", "")
+    rows = json.loads(Path("out/amended_run.json").read_text())["results"]["amended_reduction"]
+    assert [abs(row["peak_velocity"]) <= 1e-12 for row in rows] == [True]
+
+
 def test_continuity_residual_stays_small_at_t_1e6(tmp_path):
     cfg = validate_config(_config_text("packet-continuity", times=[1e6]),
                           output_override=str(tmp_path))
