@@ -503,27 +503,25 @@ def test_a_full_disk_while_writing_exits_4_and_removes_the_run(tmp_path, capsys,
 
 
 # One catalog run evolves each sample once: the initial state to each sample
-# time t, per series, plus nonrel-limit's strip-time evolves: four, less the
-# base-unit KG+ one when strip_time is a sample time, as by default.
+# time t, per series. nonrel-limit's gaps are a closed form on the packet's
+# coefficients, so it evolves and transforms nothing beyond its series.
 # validate builds every initial state and the runners re-tag its
 # coefficients. Complex transforms per sample: one inverse each for psi,
 # dpsi/dt, dpsi/dx and the continuity defect's psi_tt. The defect's dj/dx
 # of the real current is one rfft and one irfft; packet-continuity's
-# amended defect takes dj/dx of its own current. nonrel-limit also reads
-# psi of each strip-time evolve. A scenario not listed evolves one state to
-# its one sample time: one evolve, and (4, 2) transforms.
+# amended defect takes dj/dx of its own current. A scenario not listed
+# evolves one state to its one sample time: one evolve, and (4, 2)
+# transforms.
 EVOLVE_CALLS = {
     "packet-continuity": 6,
     "branch-demo": 2,
     "superposition-scan": 3,
-    "nonrel-limit": 4,
 }
 # (forward_transform + inverse_transform, rfft + irfft) per catalog pass.
 TRANSFORM_CALLS = {
     "packet-continuity": (24, 24),
     "branch-demo": (8, 4),
     "superposition-scan": (12, 6),
-    "nonrel-limit": (7, 2),
 }
 
 
@@ -552,13 +550,26 @@ def test_each_sample_is_evolved_once(tmp_path, monkeypatch, transform_calls, nam
     assert sorted(os.listdir()) == ["cfg.json", "out"]
 
 
-def test_nonrel_limit_gaps_do_not_depend_on_the_sample_times(tmp_path):
-    # At strip_time = 5 the base-unit KG+ state is the main series' sample;
-    # at times [0] it is evolved on its own. The gaps agree bitwise.
-    gaps = [run_scenario(validate_config(_config_text("nonrel-limit", times=times),
-                                         output_override=str(tmp_path))).results["gaps"]
-            for times in ([5.0], [0.0])]
-    assert gaps[0] == gaps[1]
+# The default packet's base gaps at c = 10 and c = 640, from mpmath at 40
+# digits over the same coefficients (mpmath is not a dependency).
+@pytest.mark.parametrize("units, base_gap", [({"c": 10.0}, 2.501626607374066e-08),
+                                             ({"c": 640.0}, 6.107659927291219e-12)])
+def test_nonrel_limit_gap_matches_a_40_digit_reference(tmp_path, units, base_gap):
+    results = run_scenario(validate_config(_config_text(NR, units=units),
+                                           output_override=str(tmp_path))).results
+    assert results["gaps"]["base"]["l2_gap"] == pytest.approx(base_gap, rel=1e-14, abs=0.0)
+    assert round(results["gap_ratio"], 3) == 4.0
+
+
+@settings(deadline=None)  # each example writes files
+@given(c=st.floats(40.0, 1e4), k0=st.floats(-1.0, 1.0), sigma=st.floats(5.0, 20.0),
+       t=st.floats(1.0, 10.0))
+def test_nonrel_limit_gap_falls_as_the_square_of_c(c, k0, sigma, t):
+    config = _cfg(NR, units={"c": c}, state={"packet": {"x0": 0.0, "k0": k0, "sigma": sigma}},
+                  times=[t], strip_time=t)
+    with tempfile.TemporaryDirectory() as tmp:
+        results = run_scenario(validate_config(json.dumps(config), output_override=tmp)).results
+    assert abs(results["gap_ratio"] - 4.0) <= 0.01
 
 
 @pytest.mark.parametrize("argv", [
