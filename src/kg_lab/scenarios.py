@@ -182,7 +182,6 @@ class ScenarioConfig:
     packet: Optional[PacketSpec] = None
     modes: Optional[ModeSet] = None
     two_mode: Optional[TwoModeSpec] = None
-    strip_time: Optional[float] = None
     doubled_units: Optional[UnitSystem] = None
 
 
@@ -351,7 +350,7 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
 
     kwargs = _initial_state(resolved["state"], grid, units)
 
-    systems = [units]
+    reach = max(abs(t) for t in times)
     if "c_factor" in resolved:
         factor = float(resolved["c_factor"])
         if factor <= 1.0:
@@ -360,18 +359,14 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
             kwargs["doubled_units"] = UnitSystem(hbar=units.hbar, c=units.c * factor, m=units.m)
         except ValueError as exc:
             raise ConfigError(f"c_factor: {exc}") from exc
-        systems.append(kwargs["doubled_units"])
+        # nonrel-limit reads its gaps at the sample time of largest |t|. Their
+        # phase D t/2 obeys |D| <= hbar k^2/2m, the Schrodinger rate, which does
+        # not depend on c: this one rule bounds it in both unit systems.
+        _check_max_omega(DispersionKind.SCHRODINGER, grid, units, reach, "times")
 
     # Every series is evolved to each sample time (the negative branch has
-    # the same |omega|). The strip_time rule also bounds nonrel-limit's phase
-    # D t/2 in both unit systems, as |D| <= hbar k^2/2m, the Schrodinger rate.
-    _check_max_omega(_KG_PLUS, grid, units, max(abs(t) for t in times), "times")
-    if "strip_time" in resolved:
-        strip = float(resolved["strip_time"])
-        for system in systems:
-            for kind in (_KG_PLUS, DispersionKind.SCHRODINGER):
-                _check_max_omega(kind, grid, system, abs(strip), "strip_time")
-        kwargs["strip_time"] = strip
+    # the same |omega|).
+    _check_max_omega(_KG_PLUS, grid, units, reach, "times")
 
     return ScenarioConfig(
         scenario=name, resolved=resolved, grid=grid, units=units, times=times,
@@ -656,7 +651,9 @@ def _run_superposition_scan(config: ScenarioConfig) -> _RunnerOutput:
 
 def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, _ = _main_series(config.state, config)
-    k, t = config.grid.wavenumbers, config.strip_time
+    # The gaps are read at the sample time farthest from 0, whose phase
+    # validate_config bounds; sin^2 is even in t.
+    k, t = config.grid.wavenumbers, max(config.times, key=abs)
     # Both twins share the coefficients a_j. By Parseval their gap at t is
     # 2 sqrt(L sum |a_j|^2 sin^2(D t/2)): D = -r^2/(2 omega0) is the stripped
     # KG+ rate less hbar k^2/2m, and r = omega - omega0 = (ck)^2/(omega + omega0).
@@ -672,7 +669,7 @@ def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
         "gaps": gaps,
         # numpy divides, so that zero gaps raise under the run's raise mode.
         "gap_ratio": float(np.divide(gaps["base"]["l2_gap"], gaps["doubled"]["l2_gap"])),
-        "strip_time": t,
+        "t": t,
     }
 
 
@@ -723,7 +720,6 @@ SCENARIOS: dict[str, Scenario] = {
         {"units": {"hbar": 1.0, "c": 10.0, "m": 1.0},
          "state": {"packet": {"x0": 0.0, "k0": 0.0, "sigma": 20.0}},
          "times": [5.0],
-         "strip_time": 5.0,
          "c_factor": 2.0},
         "rest-phase-stripped packet against its Schrodinger twin; the gap falls quadratically in 1/c",
         _run_nonrel_limit),

@@ -54,3 +54,21 @@ def test_readme_command_block_gives_each_subcommands_help():
     for choice in sub._choices_actions:
         pattern = rf"^kg-lab {choice.dest}\b.*\s+{re.escape(choice.help)}$"
         assert re.search(pattern, block, re.M), choice.dest
+
+
+def _keys(value):
+    """Every key of a parsed JSON value, at any depth."""
+    if isinstance(value, dict):
+        return set(value).union(*(_keys(v) for v in value.values()))
+    if isinstance(value, list):
+        return set().union(*(_keys(v) for v in value))
+    return set()
+
+
+def test_readme_names_every_config_key_in_backticks():
+    # Fenced blocks are dropped first, so that their fences cannot pair
+    # with an inline backtick.
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    quoted = set(re.findall(r"`([^`\n]+)`", prose))
+    keys = set().union(*(_keys(default_config(name)) for name in SCENARIOS))
+    assert sorted(keys - quoted) == []

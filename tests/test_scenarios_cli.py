@@ -261,6 +261,7 @@ REJECTED = {
     "unknown-grid-key": (_cfg(PC, grid={"dx": 0.1}), *CONFIG, "grid.dx: unknown key"),
     "unknown-state-key": (_cfg(PC, state={"packet": {"width": 3}}), *CONFIG, "state.packet.width"),
     "removed-dt-continuity": (_cfg(PC, dt_continuity=1e-3), *CONFIG, "dt_continuity: unknown key"),
+    "removed-strip-time": (_cfg(NR, strip_time=5.0), *CONFIG, "strip_time: unknown key"),
     "not-json": (b"{not json", *CONFIG, "not valid JSON: line 1 column 2"),
     "not-an-object": (b"[1, 2]", *CONFIG, "expected a top-level object"),
     "not-utf-8": (b'{"scenario": "amended", "output": "\xff\xfe"}', *CONFIG, "not UTF-8 text"),
@@ -278,13 +279,15 @@ REJECTED = {
     "c-squared-overflows": (_cfg(PC, units={"c": 1e200}), *CONFIG, "units: c*c is inf"),
     "doubled-c-overflows": (_cfg(NR, units={"c": 1e77}), *CONFIG, "c_factor: rest_omega**2"),
     # lattice frequencies that overflow; phases omega * t that overflow or
-    # that rounding has made meaningless (ulp(5e14) is 0.0625 rad)
+    # that rounding has made meaningless (ulp(5e14) is 0.0625 rad); at
+    # t = 2.5e7 nonrel-limit's KG+ phase rounds by 9.4e-7 rad, and the
+    # Schrodinger phase that bounds its gaps' phase by 1.4e-6 rad
     "max-k-overflows": (_cfg(PC, grid={"n": 8, "length": 1e-320}), *CONFIG, "pi*n/L overflows"),
     "nyquist-omega-overflows": (_cfg(AM, grid={"n": 8192, "length": 1e-150},
                                      state={"packet": {**AT_REST, "sigma": 1e-152}}), *CONFIG,
                                 "grid: the kg+ frequency at the Nyquist wavenumber is inf"),
     "phase-overflows": (_cfg(PC, times=[1e307]), *CONFIG, "times: the phase"),
-    "strip-phase-overflows": (_cfg(NR, strip_time=1e308), *CONFIG, "strip_time: the phase"),
+    "gap-phase-rounds": (_cfg(NR, times=[2.5e7]), *CONFIG, "times: the phase"),
     "phase-all-rounding": (_cfg(PC, times=[1e300]), *CONFIG, "times: the phase"),
     "phase-rounds-by-0.06-rad": (_cfg(PC, times=[1e14]), *CONFIG, "rounds by more than 1e-6"),
     # numbers that are not finite floats
@@ -337,11 +340,11 @@ REJECTED = {
                               "omega2: wavenumber 999999.9999995 lies at"),
     # the physics itself: every lattice frequency and phase is finite, but the
     # spectral derivative of the current overflows in this tiny box, and both
-    # nonrel-limit gaps are exactly 0 at strip_time 0, so their ratio is 0/0
+    # nonrel-limit gaps are exactly 0 at t = 0, so their ratio is 0/0
     "dj-dx-overflows": (_cfg(AM, grid={"n": 8192, "length": 1e-140},
                              state={"packet": {**AT_REST, "sigma": 1e-142}}),
                         *PHYSICS, "scenario 'amended', stage runner: overflow"),
-    "nonrel-gaps-both-zero": (_cfg(NR, strip_time=0.0), *PHYSICS, "stage runner: invalid value"),
+    "nonrel-gaps-both-zero": (_cfg(NR, times=[0.0]), *PHYSICS, "stage runner: invalid value"),
 }
 
 
@@ -350,7 +353,7 @@ REJECTED = {
 EXTREME_UNITS = ("rest-omega-underflows", "c-squared-underflows", "c-squared-overflows",
                  "doubled-c-overflows")
 OVERFLOW_AND_UNRESOLVED_DT = (
-    "nyquist-omega-overflows", "phase-overflows", "strip-phase-overflows", "phase-all-rounding",
+    "nyquist-omega-overflows", "phase-overflows", "gap-phase-rounds", "phase-all-rounding",
     "phase-rounds-by-0.06-rad", "n-past-the-float-range", "time-past-the-float-range",
     "omega1-past-the-float-range", "amplitude-squared-overflows", "max-k-overflows")
 UNRESOLVABLE_TWO_MODE = ("two-mode-k-at-c-1e-160", "two-mode-omega1-1e300",
@@ -561,12 +564,25 @@ def test_nonrel_limit_gap_matches_a_40_digit_reference(tmp_path, units, base_gap
     assert round(results["gap_ratio"], 3) == 4.0
 
 
+# The doubled system's KG+ phase omega t rounds by more than 1e-6 rad at
+# these c, but nothing evolves in that system: the gaps are a closed form.
+@pytest.mark.parametrize("c", [3e4, 4e4])
+def test_nonrel_limit_validates_and_runs_at_large_c(tmp_path, monkeypatch, c):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(_config_text(NR, units={"c": c}))
+    assert _cli(["validate", "cfg.json"])[0] == 0
+    assert _cli(["run", "cfg.json", "--out", "out", "--quiet"])[0] == 0
+    results = json.loads(Path("out/nonrel-limit_run.json").read_text())["results"]
+    assert abs(results["gap_ratio"] - 4.0) <= 1e-6
+
+
+# With c up to 2.5e4 the times rule admits every t up to 10.
 @settings(deadline=None)  # each example writes files
-@given(c=st.floats(40.0, 1e4), k0=st.floats(-1.0, 1.0), sigma=st.floats(5.0, 20.0),
+@given(c=st.floats(40.0, 2.5e4), k0=st.floats(-1.0, 1.0), sigma=st.floats(5.0, 20.0),
        t=st.floats(1.0, 10.0))
 def test_nonrel_limit_gap_falls_as_the_square_of_c(c, k0, sigma, t):
     config = _cfg(NR, units={"c": c}, state={"packet": {"x0": 0.0, "k0": k0, "sigma": sigma}},
-                  times=[t], strip_time=t)
+                  times=[t])
     with tempfile.TemporaryDirectory() as tmp:
         results = run_scenario(validate_config(json.dumps(config), output_override=tmp)).results
     assert abs(results["gap_ratio"] - 4.0) <= 0.01
