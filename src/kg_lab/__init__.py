@@ -14,8 +14,6 @@ from .foundation import (
     make_grid,
     spectral_derivative,
     state_norm,
-    spectral_norm_sq,
-    nyquist_fraction,
 )
 from .dispersion import (
     DispersionKind,
@@ -57,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid1D", "UnitSystem", "forward_transform", "inverse_transform", "make_grid",
-    "spectral_derivative", "state_norm", "spectral_norm_sq", "nyquist_fraction",
+    "spectral_derivative", "state_norm",
     "DispersionKind", "GammaStats", "gamma_of_omega", "gamma_of_state", "group_velocity",
     "omega", "unphysical_negative_branch",
     "ModeSet", "PacketSpec", "SpectralState", "from_coefficients", "gaussian_packet",

@@ -1,4 +1,4 @@
-"""Units, periodic spatial grids, and the spectral transform pair.
+"""Units, periodic grids, the spectral transform pair and a real field's d/dx.
 
 The grid is a uniform periodic sampling of [-L/2, L/2) and the transform
 convention is fixed once here: the forward transform carries the 1/n
@@ -129,7 +129,9 @@ class Grid1D:
         mode itself is rejected because valid states must leave it empty.
         """
         k = _as_float(k, "k")
-        j = int(round(k * self.length / (2.0 * math.pi)))
+        position = k * self.length / (2.0 * math.pi)
+        # round() raises OverflowError on an infinite position; j = n fails the range check.
+        j = int(round(position)) if abs(position) <= self.n else self.n
         if not -self.n // 2 <= j <= self.n // 2 - 1:
             raise BandwidthError(f"wavenumber {k} lies outside the resolvable lattice")
         snapped = 2.0 * math.pi * j / self.length
@@ -206,16 +208,14 @@ def inverse_transform(grid: Grid1D, coefficients: np.ndarray) -> np.ndarray:
 
 
 def spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:
-    """d/dx on the grid via ik multiplication in spectral space.
+    """d/dx of a real field via ik multiplication on the half spectrum.
 
-    Complex input stays complex. Real input takes the half spectrum
-    (rfft/irfft), where the pair's +-1 twists cancel exactly and irfft
-    drops the imaginary Nyquist product, as taking the real part would.
+    rfft/irfft: the pair's +-1 twists cancel exactly and irfft drops the
+    imaginary Nyquist product, as taking the real part would. A complex
+    field raises ValueError; a float64 cast would drop its imaginary part.
     """
     if np.iscomplexobj(values):
-        coefficients = forward_transform(grid, values)
-        np.multiply(1j * grid.wavenumbers, coefficients, out=coefficients)
-        return inverse_transform(grid, coefficients)
+        raise ValueError("spectral_derivative takes a real field, got a complex one")
     half = np.fft.rfft(_check_length(grid, values, "values", np.float64), norm="forward")
     np.multiply(1j * grid.wavenumbers[:grid.n // 2 + 1], half, out=half)
     return np.fft.irfft(half, grid.n, norm="forward")
@@ -228,8 +228,10 @@ def state_norm(grid: Grid1D, values: np.ndarray) -> float:
 
 
 def _parseval(grid: Grid1D, coefficients: np.ndarray) -> tuple[float, float]:
-    """L sum |a|^2 and the Nyquist fraction from one einsum pass over the
-    float64 view, which starts no BLAS threads (see the module docstring)."""
+    """L sum |a|^2, the Parseval partner of state_norm, and the Nyquist mode's
+    amplitude fraction |a_{-n/2}| / ||a||_2 (NaN when the norm is not finite)
+    from one einsum pass over the float64 view, which starts no BLAS threads
+    (see the module docstring)."""
     c = np.ascontiguousarray(coefficients, dtype=np.complex128).ravel()
     v = c.view(np.float64)
     sum_sq = float(np.einsum("i,i->", v, v))
@@ -237,16 +239,3 @@ def _parseval(grid: Grid1D, coefficients: np.ndarray) -> tuple[float, float]:
     frac = math.nan if not math.isfinite(total) else (
         0.0 if total == 0.0 else float(abs(c[grid.nyquist_index]) / total))
     return grid.length * sum_sq, frac
-
-
-def spectral_norm_sq(grid: Grid1D, coefficients: np.ndarray) -> float:
-    """Parseval partner of state_norm under the 1/n convention: L sum |a|^2."""
-    return _parseval(grid, coefficients)[0]
-
-
-def nyquist_fraction(grid: Grid1D, coefficients: np.ndarray) -> float:
-    """Amplitude fraction |a_{-n/2}| / ||a||_2 carried by the Nyquist mode;
-    NaN when the norm is not finite (a NaN or infinite coefficient, or an
-    overflowing sum of squares). The norm is the one einsum pass, not BLAS,
-    that a state's checks read."""
-    return _parseval(grid, coefficients)[1]

@@ -198,14 +198,6 @@ class ModeSet:
             )
         object.__setattr__(self, "modes", tuple(cleaned))
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([a for a, _ in self.modes], dtype=np.complex128)
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return np.array([k for _, k in self.modes], dtype=np.float64)
-
 
 def _lattice_modes(modes: ModeSet, grid: Grid1D) -> tuple[list[int], list[complex]]:
     """Each mode's lattice position and its box amplitude a_j / sqrt(L);

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import kg_lab
 from kg_lab import BandwidthError, UnitSystem, from_coefficients, make_grid
 from kg_lab.foundation import (
     LATTICE_TOLERANCE,
+    _parseval,
     forward_transform,
     inverse_transform,
-    nyquist_fraction,
     spectral_derivative,
-    spectral_norm_sq,
     state_norm,
 )
 from strategies import KG, grids, laws, seeds
@@ -118,7 +118,7 @@ def test_round_trip_identity(grid, seed):
     v = _values(grid, seed)
     a = forward_transform(grid, v)
     assert np.max(np.abs(inverse_transform(grid, a) - v)) <= 1e-12 * np.max(np.abs(v))
-    assert abs(state_norm(grid, v) - spectral_norm_sq(grid, a)) <= 1e-10 * state_norm(grid, v)
+    assert abs(state_norm(grid, v) - _parseval(grid, a)[0]) <= 1e-10 * state_norm(grid, v)
 
 
 @pytest.mark.parametrize("j", [0, 1, 5, -3, -15])
@@ -150,10 +150,8 @@ def test_transform_length_mismatch():
         forward_transform(g, np.zeros(8, dtype=complex))
     with pytest.raises(ValueError):
         inverse_transform(g, np.zeros(32, dtype=complex))
-    # Real input takes the half spectrum and complex input the full one;
-    # either refuses a shape other than the grid's, and names it.
-    for values in (np.zeros(8), np.zeros((2, 16)), np.zeros(32, dtype=complex),
-                   np.zeros((16, 1), dtype=complex)):
+    # The derivative refuses a shape other than the grid's, and names it.
+    for values in (np.zeros(8), np.zeros((2, 16)), np.zeros(32), np.zeros((16, 1))):
         with pytest.raises(ValueError, match=re.escape(f"got {values.shape}")):
             spectral_derivative(g, values)
 
@@ -165,6 +163,9 @@ def test_spectral_derivative_of_sine():
     df = spectral_derivative(g, f)
     assert df.dtype.kind == "f"
     np.testing.assert_allclose(df, k * np.cos(k * g.points), rtol=0, atol=1e-12)
+    # A complex field is refused: a float64 cast would drop its imaginary part.
+    with pytest.raises(ValueError, match="takes a real field, got a complex one"):
+        spectral_derivative(g, np.exp(1j * k * g.points))
 
 
 def test_nyquist_fraction_and_check():
@@ -172,14 +173,14 @@ def test_nyquist_fraction_and_check():
     g = make_grid(16, 10.0)
     a = np.zeros(16, dtype=complex)
     a[8] = 1.0 / math.sqrt(g.length)
-    assert nyquist_fraction(g, a) == 1.0
+    assert _parseval(g, a)[1] == 1.0
     with pytest.raises(BandwidthError, match=re.escape(
             "Nyquist mode carries 1.000e+00 of the spectral norm (limit 1e-10); "
             "the state is not band-limited on this grid")):
         from_coefficients(g, UnitSystem(), KG, a)
     a[8] = 0.0
     a[1] = 1.0 / math.sqrt(g.length)
-    assert nyquist_fraction(g, a) == 0.0
+    assert _parseval(g, a)[1] == 0.0
     from_coefficients(g, UnitSystem(), KG, a)
 
 
@@ -194,7 +195,7 @@ def test_a_non_finite_spectrum_fails_the_bandwidth_check(bad, where):
     a = np.zeros(16, dtype=complex)
     a[0] = 1.0
     a[where] = bad
-    assert math.isnan(nyquist_fraction(g, a))
+    assert math.isnan(_parseval(g, a)[1])
     with pytest.raises(ValueError, match=r"^state norm must be 1, got (nan|inf)$"):
         from_coefficients(g, UnitSystem(), KG, a)
 
@@ -212,4 +213,11 @@ def test_nyquist_fraction_is_the_nyquist_amplitude_over_the_norm(grid, seed, emp
     # exact sum (u = 2**-53), which the square root halves to under n ulp.
     # The squares, the modulus, the root and the quotient add at most 4 ulp.
     ulps = grid.n + 4
-    assert abs(nyquist_fraction(grid, a) - expected) <= ulps * np.spacing(expected)
+    assert abs(_parseval(grid, a)[1] - expected) <= ulps * np.spacing(expected)
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    # A name deleted from the package but still listed in __all__ fails here.
+    namespace = {}
+    exec("from kg_lab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(kg_lab.__all__)

@@ -61,10 +61,6 @@ def _plain_inverse(n, coefficients):
     return np.fft.ifft(_twist(n) * coefficients, norm="forward")
 
 
-def _plain_derivative(grid, values):
-    return _plain_inverse(grid.n, 1j * grid.wavenumbers * _plain_forward(grid.n, values))
-
-
 # A real field's derivative on the half spectrum: the +-1 twists cancel.
 def _plain_real_derivative(grid, values):
     n = grid.n
@@ -107,7 +103,6 @@ def test_in_place_steps_equal_the_plain_expressions(state, t):
     assert _same(inverse_transform(grid, coefficients), psi)
     assert _same(forward_transform(grid, psi), _plain_forward(n, psi))
     assert _same(forward_transform(grid, real), _plain_forward(n, real))
-    assert _same(spectral_derivative(grid, psi), _plain_derivative(grid, psi))
     assert _same(spectral_derivative(grid, real), _plain_real_derivative(grid, real))
     assert _same(state.values, psi)
     assert _same(state.density_nonrel, psi.real**2 + psi.imag**2)

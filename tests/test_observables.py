@@ -291,7 +291,8 @@ def test_superposition_density_matches_state_route(problem, t, offset):
 def test_superposition_density_against_naive_double_sum(problem, u, t, data):
     grid, ms = problem
     sd = superposition_density(ms, t, grid, u)
-    amps, ks = ms.amplitudes / math.sqrt(grid.length), ms.wavenumbers
+    amps, ks = map(np.array, zip(*ms.modes))
+    amps = amps / math.sqrt(grid.length)
     omegas = np.sqrt((u.c * ks) ** 2 + (u.m * u.c**2 / u.hbar) ** 2)
     prefactor = u.hbar / (u.m * u.c**2)
     # Rounding scale: the summed magnitudes of all double-sum terms, widened
@@ -322,6 +323,17 @@ def test_superposition_density_rejects_colliding_modes(natural):
     for build in (lambda: superposition(ms, grid, natural, KG),
                   lambda: superposition_density(ms, 0.0, grid, natural)):
         with pytest.raises(ValueError, match="collide on the lattice"):
+            build()
+
+
+@pytest.mark.parametrize("k", [1e308, -1e308])
+def test_superposition_rejects_a_wavenumber_whose_lattice_position_overflows(natural, k):
+    # k L / 2 pi is infinite, which round() cannot take.
+    grid = make_grid(64, 20.0)
+    ms = ModeSet([(1.0, k)])
+    for build in (lambda: superposition(ms, grid, natural, KG),
+                  lambda: superposition_density(ms, 0.0, grid, natural)):
+        with pytest.raises(BandwidthError, match="lies outside the resolvable lattice"):
             build()
 
 

@@ -273,6 +273,10 @@ REJECTED = {
     "no-times": (_cfg(PC, times=[]), *CONFIG, "times: must list"),
     "format-xml": (_cfg(PC, format="xml"), *CONFIG, "format: expected 'csv'"),
     "c-factor-of-1": (_cfg(NR, c_factor=1.0), *CONFIG, "c_factor: must exceed 1"),
+    "gamma-spread-tol-zero": (_cfg(PC, gamma_spread_tol=0.0), *CONFIG,
+                              "gamma_spread_tol: must be positive"),
+    "gamma-spread-tol-negative": (_cfg(PC, gamma_spread_tol=-1.0), *CONFIG,
+                                  "gamma_spread_tol: must be positive"),
     # unit systems whose products over- or underflow
     "rest-omega-underflows": (_cfg(PC, units={"m": 1e-300}), *CONFIG, "rest_omega**2 is 0.0"),
     "c-squared-underflows": (_cfg(BD, units={"c": 1e-200}), *CONFIG, "units: c*c is 0.0"),
@@ -310,11 +314,17 @@ REJECTED = {
     "packet-leaks-into-the-nyquist-mode": (
         _cfg(PC, state={"packet": {"x0": 0.0, "k0": 32.0, "sigma": 20.0}}), *BANDWIDTH,
         "Nyquist mode carries"),
-    # mode entries; in the last row the k entry rounds to index 5
+    # mode entries; in the two k rows past the lattice k L / 2 pi overflows,
+    # and in the last row the k entry rounds to index 5
     "mode-index-past-the-lattice": (_cfg(BD, state={"mode": {"index": 256}}), *BANDWIDTH,
                                     "outside the open lattice range"),
     "mode-index-and-k": (_cfg(BD, state={"mode": {"index": 3, "k": 1.0}}), *CONFIG,
                          "give exactly one of 'index' or 'k'"),
+    "mode-k-past-the-lattice": (_cfg(BD, state={"mode": {"k": 1e308}}), *BANDWIDTH,
+                                "lies outside the resolvable lattice"),
+    "modes-k-past-the-lattice": (
+        _cfg(SCAN, grid={"length": 1e10}, state={"modes": [{"amplitude_re": 1.0, "k": 1e300}]}),
+        *BANDWIDTH, "lies outside the resolvable lattice"),
     "mode-k-off-the-lattice": (_cfg(SCAN, state={"modes": [{"amplitude_re": 1.0, "k": 0.1234}]}),
                                *BANDWIDTH, "is off-lattice"),
     "modes-off-unit-norm": (_cfg(SCAN, state={"modes": [{"amplitude_re": 0.5, "index": 3}]}),
@@ -710,20 +720,37 @@ EXTREME_NUMBERS = st.one_of(st.integers(2**53, 10**400), st.integers(-10**400, -
                             st.sampled_from([1e308, -1e308, 5e-324, 0, 0.0]))
 
 
+def _extreme_leaves():
+    pairs = []
+    for name in scenario_names():
+        leaves = _numeric_leaves(default_config(name))
+        leaves += [(*path[:-1], "k") for path in leaves if path[-1] == "index"]
+        pairs += [(name, path) for path in leaves]
+    return pairs
+
+
+EXTREME_LEAVES = _extreme_leaves()
+
+
 @st.composite
 def extreme_configs(draw):
-    """A scenario's default config with one numeric leaf set to an extreme."""
-    config = default_config(draw(st.sampled_from(scenario_names())))
-    *parents, last = draw(st.sampled_from(_numeric_leaves(config)))
+    """A scenario's default config with one numeric leaf set to an extreme,
+    each (scenario, leaf) pair equally likely. A mode entry's index is also
+    drawn as a k selector in its place."""
+    name, (*parents, last) = draw(st.sampled_from(EXTREME_LEAVES))
+    config = default_config(name)
     node = config
     for key in parents:
         node = node[key]
+    if last == "k":
+        del node["index"]
     node[last] = draw(EXTREME_NUMBERS)
     return config
 
 
-# An example takes a millisecond or two; 500 of them reach the rarer leaves,
-# a mode's amplitude or the box length, under every seed tried.
+# An example takes a millisecond or two; 500 of them, about five for each
+# of the 99 (scenario, leaf) pairs, reach the rarer leaves, a mode's
+# amplitude, its k or the box length, under every seed tried.
 @settings(deadline=None, max_examples=500)
 @given(extreme_configs())
 def test_validate_meets_any_extreme_number_with_an_exit_code(config):
