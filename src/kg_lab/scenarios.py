@@ -11,9 +11,9 @@ shared defaults, its blurb, and its runner.
 Output determinism: identical config and arguments produce byte-identical
 files. Every float is written as '%.17g' would write it, except that
 non-finite values are spelled NaN, Infinity and -Infinity (the negative
-branch of branch-demo writes NaN columns). JSON keys are sorted, newlines
-are '\n', and nothing time- or path-dependent is emitted beyond what the
-config itself contains.
+branch of branch-demo writes a NaN gamma_bar and gamma_spread). JSON keys
+are sorted, newlines are '\n', and nothing time- or path-dependent is
+emitted beyond what the config itself contains.
 
 Each evolved state's observables are two float64 tables:
 run_scenario(config).series[label] holds .fields, of shape
@@ -65,8 +65,10 @@ from .states import (ModeSet, PacketSpec, SpectralState, from_coefficients, gaus
 
 _KG_PLUS = DispersionKind.KLEIN_GORDON_POSITIVE
 
-FIELD_COLUMNS = ("t", "x", "re_psi", "im_psi", "rho_nonrel", "rho_kg",
-                 "rho_amended", "j_std", "j_amended")
+# The fields tables leave out the fields that rebuild bit for bit from the
+# written text: rho_nonrel is re_psi^2 + im_psi^2, and rho_amended and
+# j_amended are rho_kg and j_std over the summary row's gamma_bar.
+FIELD_COLUMNS = ("t", "x", "re_psi", "im_psi", "rho_kg", "j_std")
 SUMMARY_COLUMNS = ("t", "norm", "centroid", "variance", "gamma_bar", "gamma_spread",
                    "continuity_exact", "min_rho_kg", "argmin_x")
 
@@ -226,8 +228,11 @@ def _mode_entry(entry: Any, path: str, keys: set[str],
         j = out["index"] = int(_require_number(entry["index"], f"{path}.index", integer=True))
         return out, _lattice_k(grid, j, path)
     k = out["k"] = float(_require_number(entry["k"], f"{path}.k"))
-    # Off the lattice, or on its Nyquist mode: BandwidthError.
-    return out, float(grid.wavenumbers[grid.wavenumber_index(k)])
+    try:
+        j = grid.wavenumber_index(k)
+    except BandwidthError as exc:  # off the lattice, or on its Nyquist mode
+        raise BandwidthError(f"{path}: {exc}") from exc
+    return out, float(grid.wavenumbers[j])
 
 
 def _check_max_omega(kind: DispersionKind, grid: Grid1D, units: UnitSystem, reach: float,
@@ -512,8 +517,7 @@ def _series_for(state: SpectralState, config: ScenarioConfig
                       fields.gamma_bar, fields.gamma_spread, continuity_exact(fields),
                       fields.rho_kg[imin], grid.points[imin])
         for c, column in enumerate((t, grid.points, result.state.values.real,
-                                    result.state.values.imag, fields.rho_nonrel, fields.rho_kg,
-                                    fields.rho_amended, fields.j_std, fields.j_amended)):
+                                    result.state.values.imag, fields.rho_kg, fields.j_std)):
             table[i, :, c] = column
         samples.append(fields)
     return ObservableSeries(fields=table, summary=summary), samples

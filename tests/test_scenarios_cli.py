@@ -320,11 +320,12 @@ REJECTED = {
                                     "outside the open lattice range"),
     "mode-index-and-k": (_cfg(BD, state={"mode": {"index": 3, "k": 1.0}}), *CONFIG,
                          "give exactly one of 'index' or 'k'"),
-    "mode-k-past-the-lattice": (_cfg(BD, state={"mode": {"k": 1e308}}), *BANDWIDTH,
-                                "lies outside the resolvable lattice"),
+    "mode-k-past-the-lattice": (
+        _cfg(BD, state={"mode": {"k": 1e308}}), *BANDWIDTH,
+        "state.mode: wavenumber 1e+308 lies outside the resolvable lattice"),
     "modes-k-past-the-lattice": (
         _cfg(SCAN, grid={"length": 1e10}, state={"modes": [{"amplitude_re": 1.0, "k": 1e300}]}),
-        *BANDWIDTH, "lies outside the resolvable lattice"),
+        *BANDWIDTH, "state.modes[0]: wavenumber 1e+300 lies outside the resolvable lattice"),
     "mode-k-off-the-lattice": (_cfg(SCAN, state={"modes": [{"amplitude_re": 1.0, "k": 0.1234}]}),
                                *BANDWIDTH, "is off-lattice"),
     "modes-off-unit-norm": (_cfg(SCAN, state={"modes": [{"amplitude_re": 0.5, "index": 3}]}),
@@ -477,10 +478,11 @@ def _assert_a_failure_mid_file_removes_the_run(tmp_path, capsys, monkeypatch, er
     # The second chunk that reaches a file raises, after the first is written:
     # in CSV the second chunk of the fields table, in JSON its second column.
     # The partial file is removed with the run, because its path is recorded
-    # before the file is opened.
+    # before the file is opened. Three sample times make the CSV fields table
+    # 1536 rows of 6 columns, more than one chunk holds.
     format_rows = kg_lab.scenarios.format_rows
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_config_text("amended", **SMALL))
+    cfg_path.write_text(_config_text("amended", **{**SMALL, "times": [0.0, 5.0, 10.0]}))
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
         chunks, present = [], []
