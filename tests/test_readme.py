@@ -72,3 +72,14 @@ def test_readme_names_every_config_key_in_backticks():
     quoted = set(re.findall(r"`([^`\n]+)`", prose))
     keys = set().union(*(_keys(default_config(name)) for name in SCENARIOS))
     assert sorted(keys - quoted) == []
+
+
+def test_readme_key_list_names_only_config_keys():
+    # Each bullet of "The keys:" opens with a key of some scenario's default
+    # config, so that a removed key cannot linger there.
+    section = README.read_text().split("The keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = re.findall(r"^- (.*)", section, re.M)
+    keys = set().union(*(_keys(default_config(name)) for name in SCENARIOS))
+    named = [re.match(r"`([^`]+)`", bullet) for bullet in bullets]
+    assert len(bullets) > 1
+    assert [b for b, key in zip(bullets, named) if not (key and key.group(1) in keys)] == []

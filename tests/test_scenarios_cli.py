@@ -22,11 +22,13 @@ import kg_lab.scenarios
 from kg_lab.scenarios import (
     FIELD_COLUMNS,
     SUMMARY_COLUMNS,
+    _compute,
     default_config,
     run_scenario,
     scenario_names,
     validate_config,
 )
+from strategies import laws
 
 
 def _cfg(name, **overrides):
@@ -150,6 +152,18 @@ def test_run_json_reports_the_lattice_the_state_evolves_with(tmp_path, name):
     bits = lambda values: np.array(values, dtype=np.float64).view(np.uint64).tolist()
     assert bits([block[key] for key in k_keys]) == bits(cfg.grid.wavenumbers[index])
     assert bits([block[key] for key in omega_keys]) == bits(cfg.state.omegas[index])
+
+
+@laws
+@given(length=st.floats(100.0, 1000.0), omega1=st.floats(1.0, 5.0), omega2=st.floats(6.0, 12.0))
+def test_two_mode_realizes_the_lattice_k_nearest_each_frequency(length, omega1, omega2):
+    # Each realized k lies within half a lattice spacing, pi/L, of the
+    # positive-branch k of its frequency: here k = sqrt(omega^2 - 1), as
+    # hbar = c = m = 1. The slack is for the rounding of both square roots.
+    cfg = validate_config(_config_text(TWO, grid={"length": length}, state={
+        "two_mode": {"omega1": omega1, "omega2": omega2}}))
+    for (_, k), w in zip(cfg.modes.modes, (omega1, omega2)):
+        assert abs(k - math.sqrt(w * w - 1.0)) <= math.pi / length * (1.0 + 1e-9)
 
 
 def test_rerun_replaces_each_output_file(tmp_path):
@@ -598,6 +612,20 @@ def test_nonrel_limit_gap_falls_as_the_square_of_c(c, k0, sigma, t):
     with tempfile.TemporaryDirectory() as tmp:
         results = run_scenario(validate_config(json.dumps(config), output_override=tmp)).results
     assert abs(results["gap_ratio"] - 4.0) <= 0.01
+
+
+@laws
+@given(times=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=4).filter(
+    lambda times: max(map(abs, times)) >= 1.0), data=st.data())
+def test_nonrel_limit_reads_its_gaps_at_the_time_farthest_from_0(times, data):
+    # Whatever the order of the list, results.t is an entry of largest |t|,
+    # and the gaps, even in t, are the same.
+    order = data.draw(st.permutations(times))
+    runs = [_compute(validate_config(_config_text(NR, times=ts)))[2] for ts in (times, order)]
+    for results in runs:
+        assert results["t"] in times and abs(results["t"]) == max(map(abs, times))
+    assert [(r["gaps"], r["gap_ratio"]) for r in runs[1:]] == \
+        [(r["gaps"], r["gap_ratio"]) for r in runs[:1]]
 
 
 @pytest.mark.parametrize("argv", [

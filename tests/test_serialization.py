@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kg_lab import (__version__, cli, compute_fields, evolve, from_coefficients,
@@ -33,6 +33,7 @@ from kg_lab.scenarios import (
     FIELD_COLUMNS,
     SUMMARY_COLUMNS,
     ObservableSeries,
+    _compute,
     _csv,
     _dump,
     _series_files,
@@ -230,15 +231,43 @@ def _read_back(fields_path, summary_path, fmt):
             [dict(zip(columns, map(float, row))) for row in rows])
 
 
-def _assert_dropped_columns_rebuild(config, label, fields_path, summary_path, fmt):
-    # The fields the tables leave out rebuild bit for bit from the written
-    # text: psi*psi from re_psi and im_psi, and the amended pair from rho_kg
-    # and j_std over the gamma_bar of the summary row at the same t.
+def _max_rel_deviation(sample, meta):
+    rho = sample["rho_nonrel"]
+    mask = rho >= meta["results"]["mask_threshold"] * rho.max()
+    return np.abs(sample["rho_kg"][mask] / (meta["derived"]["gamma_bar"] * rho[mask]) - 1.0).max()
+
+
+def _peak_velocity(sample, meta):
+    peak = np.argmax(sample["rho_amended"])
+    return sample["j_amended"][peak] / sample["rho_amended"][peak]
+
+
+# The results read off the fields, by scenario: the reported values of one
+# series, by its label, and each sample's value rebuilt from its fields and
+# _run.json.
+RESULTS_FROM_FIELDS = {
+    "gamma-density": (lambda results, label: [row["max_rel_deviation"]
+                                              for row in results["density_vs_gamma"]],
+                      _max_rel_deviation),
+    "amended": (lambda results, label: [row["peak_velocity"]
+                                        for row in results["amended_reduction"]],
+                _peak_velocity),
+    "branch-demo": (lambda results, label: results["branches"][label]["density_ratio_mean"],
+                    lambda sample, meta: np.mean(sample["rho_kg"] / sample["rho_nonrel"])),
+}
+
+
+def _assert_dropped_columns_rebuild(config, label, blocks, rows, meta):
+    # The fields the tables leave out rebuild bit for bit from a series'
+    # fields blocks and summary rows: psi*psi from re_psi and im_psi, and the
+    # amended pair from rho_kg and j_std over the gamma_bar of the summary row
+    # at the same t. So do the results read off them, from those fields and
+    # the run's derived and results blocks.
     state = config.state if label != "negative" else from_coefficients(
         config.grid, config.units, unphysical_negative_branch(), config.state.coefficients)
-    blocks, rows = _read_back(fields_path, summary_path, fmt)
     gamma_bar = {row["t"]: row["gamma_bar"] for row in rows}
     assert len(blocks) == len(rows) == len(config.times)
+    samples = []
     for block, t in zip(blocks, config.times):
         assert (block["t"] == t).all()
         library = compute_fields(evolve(state, t))
@@ -247,9 +276,14 @@ def _assert_dropped_columns_rebuild(config, label, fields_path, summary_path, fm
                    "j_amended": block["j_std"] / gamma_bar[t]}
         for name, values in rebuilt.items():
             bits = values.view(np.uint64), getattr(library, name).view(np.uint64)
-            assert np.array_equal(*bits), (label, fmt, t, name)
+            assert np.array_equal(*bits), (label, t, name)
         if label == "negative":
             assert np.isnan(rebuilt["rho_amended"]).all() and np.isnan(rebuilt["j_amended"]).all()
+        samples.append({**block, **rebuilt})
+    if config.scenario in RESULTS_FROM_FIELDS:
+        reported, rebuild = RESULTS_FROM_FIELDS[config.scenario]
+        assert _bits(reported(meta["results"], label)) == \
+            _bits([rebuild(sample, meta) for sample in samples]), label
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -270,6 +304,7 @@ def test_catalog_outputs_match_per_value_reference(catalog, name):
         assert stdout.startswith(f"scenario: {name}\n")
         assert stdout.endswith("".join(f"wrote {path}\n" for path in result.files))
 
+        meta = json.loads((root / out / f"{name}_run.json").read_text(), parse_int=float)
         for i, (label, series) in enumerate(result.series.items()):
             fields, summary = series.fields, series.summary
             assert fields.dtype == summary.dtype == np.float64
@@ -285,13 +320,31 @@ def test_catalog_outputs_match_per_value_reference(catalog, name):
                 refs = _ref_fields_json(fields), _ref_summary_json(summary)
             assert tuple((root / path).read_text() for path in files[2 * i:2 * i + 2]) == refs
             _assert_dropped_columns_rebuild(
-                config, label, *(root / path for path in files[2 * i:2 * i + 2]), fmt)
+                config, label, *_read_back(*(root / path for path in files[2 * i:2 * i + 2]), fmt),
+                meta)
 
-        meta = json.loads((root / out / f"{name}_run.json").read_text(), parse_int=float)
         assert _bits(meta) == _bits({
             "scenario": name, "version": __version__,
             "config": {**default_config(name), "output": str(out), "format": fmt},
             "derived": result.derived, "results": result.results})
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(["gamma-density", "amended"]), reach=st.floats(-1.0, 1.0),
+       k0=st.floats(-3.0, 3.0), sigma=st.floats(0.5, 10.0),
+       times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3))
+def test_results_rebuild_from_the_tables_of_drawn_packets(name, reach, k0, sigma, times):
+    # The same law on a run's own tables, for packets down to half a unit
+    # wide, where the peaks of rho_amended and psi*psi can fall on
+    # neighbouring points. x0 is anywhere the support rule admits.
+    packet = {"x0": reach * (200.0 - 9.7 * sigma), "k0": k0, "sigma": sigma}
+    config = validate_config(json.dumps({"scenario": name, "state": {"packet": packet},
+                                         "times": times}))
+    series, derived, results = _compute(config)
+    blocks = [dict(zip(FIELD_COLUMNS, block.T)) for block in series["main"].fields]
+    rows = [dict(zip(SUMMARY_COLUMNS, row)) for row in series["main"].summary.tolist()]
+    _assert_dropped_columns_rebuild(config, "main", blocks, rows,
+                                    {"derived": derived, "results": results})
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
