@@ -92,10 +92,6 @@ class GammaStats(NamedTuple):
     gamma_bar: float
     gamma_spread: float
 
-    @property
-    def relative_spread(self) -> float:
-        return self.gamma_spread / self.gamma_bar
-
 
 def gamma_of_state(state: "SpectralState") -> GammaStats:
     """Weighted mean and standard deviation of gamma over |a_j|^2 weights.

@@ -88,10 +88,6 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
     "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 20.0}},
     "times": [0.0],
-    # Relative gamma spread above which the run's derived.gamma_spread_flag
-    # warns that the amended observables are suspect: the single-gamma
-    # replacement m -> gamma*m is only as good as the packet is monochromatic.
-    "gamma_spread_tol": 0.01,
     "format": "csv",
     "output": "kg-lab-out",
 }
@@ -177,7 +173,6 @@ class ScenarioConfig:
     grid: Grid1D
     units: UnitSystem
     times: tuple[float, ...]
-    gamma_spread_tol: float
     fmt: str
     output: str
     state: SpectralState
@@ -348,10 +343,6 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
     if not times:
         raise ConfigError("times: must list at least one sample time")
     times = tuple(float(_require_number(t, f"times[{i}]")) for i, t in enumerate(times))
-    # _merge_strict has checked that each scalar is a finite number.
-    spread_tol = float(resolved["gamma_spread_tol"])
-    if spread_tol <= 0:
-        raise ConfigError(f"gamma_spread_tol: must be positive, got {spread_tol}")
 
     kwargs = _initial_state(resolved["state"], grid, units)
 
@@ -375,7 +366,7 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
 
     return ScenarioConfig(
         scenario=name, resolved=resolved, grid=grid, units=units, times=times,
-        gamma_spread_tol=spread_tol, fmt=resolved["format"], output=resolved["output"], **kwargs,
+        fmt=resolved["format"], output=resolved["output"], **kwargs,
     )
 
 
@@ -552,13 +543,7 @@ def _main_series(state: SpectralState, config: ScenarioConfig
                             list[DensityCurrentFields]]:
     """The frame of a one-state scenario: its series, gamma statistics and samples."""
     main, samples = _series_for(state, config)
-    stats = gamma_of_state(state)
-    derived = {
-        "gamma_bar": stats.gamma_bar,
-        "gamma_spread": stats.gamma_spread,
-        "gamma_spread_flag": not stats.relative_spread <= config.gamma_spread_tol,
-    }
-    return {"main": main}, derived, samples
+    return {"main": main}, gamma_of_state(state)._asdict(), samples
 
 
 def _grid_scan(modes: ModeSet, config: ScenarioConfig
@@ -576,13 +561,13 @@ def _grid_scan(modes: ModeSet, config: ScenarioConfig
 def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
     derived["group_velocity_carrier"] = group_velocity(_KG_PLUS, config.packet.k0, config.units)
-    conserved = series["main"].summary[:, SUMMARY_COLUMNS.index("continuity_exact")]
-    rows = [{"t": t, "residual_conserved": residual,
-             "residual_amended": continuity_exact(fields, amended=True)}
-            for t, fields, residual in zip(config.times, samples, conserved.tolist())]
+    rows = [{"t": t, "residual_amended": continuity_exact(fields, amended=True)}
+            for t, fields in zip(config.times, samples)]
     return series, derived, {
         "continuity": rows,
-        "max_residual_conserved": max(r["residual_conserved"] for r in rows),
+        # The conserved pair's defect is the summary's continuity_exact column.
+        "max_residual_conserved": float(
+            series["main"].summary[:, SUMMARY_COLUMNS.index("continuity_exact")].max()),
         "max_residual_amended": max(r["residual_amended"] for r in rows),
     }
 

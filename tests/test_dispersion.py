@@ -115,7 +115,7 @@ def test_gamma_stats_two_modes():
     assert isinstance(stats, GammaStats)
     assert stats.gamma_bar == pytest.approx(1.25, abs=1e-12)
     assert stats.gamma_spread == pytest.approx(0.25, abs=1e-12)
-    assert stats.relative_spread == pytest.approx(0.2, abs=1e-12)
+    assert stats.gamma_spread / stats.gamma_bar == pytest.approx(0.2, abs=1e-12)
 
 
 @laws

@@ -90,16 +90,11 @@ def test_k_and_index_selectors_name_the_same_state(name, j):
 # statistics of its initial state.
 @pytest.mark.parametrize("name", [n for n in scenario_names() if n != "branch-demo"])
 def test_derived_block_is_the_initial_states_gamma_statistics(tmp_path, name):
-    # Bit for bit; and the flag is raised when the relative spread exceeds
-    # the tolerance: not at a tolerance equal to it, but at the next float
-    # below it.
+    # Bit for bit.
     stats = gamma_of_state(validate_config(_config_text(name)).state)
-    spread = stats.relative_spread
-    for tol, flag in ((spread, False), (math.nextafter(spread, 0.0), True)):
-        derived = run_scenario(validate_config(_config_text(name, gamma_spread_tol=tol),
-                                               output_override=str(tmp_path))).derived
-        assert (derived["gamma_bar"], derived["gamma_spread"]) == stats
-        assert derived["gamma_spread_flag"] is flag
+    derived = run_scenario(validate_config(_config_text(name),
+                                           output_override=str(tmp_path))).derived
+    assert (derived["gamma_bar"], derived["gamma_spread"]) == stats
 
 
 def test_series_columns_hold_the_named_observables(tmp_path):
@@ -287,10 +282,8 @@ REJECTED = {
     "no-times": (_cfg(PC, times=[]), *CONFIG, "times: must list"),
     "format-xml": (_cfg(PC, format="xml"), *CONFIG, "format: expected 'csv'"),
     "c-factor-of-1": (_cfg(NR, c_factor=1.0), *CONFIG, "c_factor: must exceed 1"),
-    "gamma-spread-tol-zero": (_cfg(PC, gamma_spread_tol=0.0), *CONFIG,
-                              "gamma_spread_tol: must be positive"),
-    "gamma-spread-tol-negative": (_cfg(PC, gamma_spread_tol=-1.0), *CONFIG,
-                                  "gamma_spread_tol: must be positive"),
+    "removed-gamma-spread-tol": (_cfg(PC, gamma_spread_tol=0.01), *CONFIG,
+                                 "gamma_spread_tol: unknown key"),
     # unit systems whose products over- or underflow
     "rest-omega-underflows": (_cfg(PC, units={"m": 1e-300}), *CONFIG, "rest_omega**2 is 0.0"),
     "c-squared-underflows": (_cfg(BD, units={"c": 1e-200}), *CONFIG, "units: c*c is 0.0"),
