@@ -614,11 +614,11 @@ def test_nonrel_limit_reads_its_gaps_at_the_time_farthest_from_0(times, data):
     # Whatever the order of the list, results.t is an entry of largest |t|,
     # and the gaps, even in t, are the same.
     order = data.draw(st.permutations(times))
-    runs = [_compute(validate_config(_config_text(NR, times=ts)))[2] for ts in (times, order)]
-    for results in runs:
+    first, second = (_compute(validate_config(_config_text(NR, times=ts)))[2]
+                     for ts in (times, order))
+    for results in (first, second):
         assert results["t"] in times and abs(results["t"]) == max(map(abs, times))
-    assert [(r["gaps"], r["gap_ratio"]) for r in runs[1:]] == \
-        [(r["gaps"], r["gap_ratio"]) for r in runs[:1]]
+    assert (first["gaps"], first["gap_ratio"]) == (second["gaps"], second["gap_ratio"])
 
 
 @pytest.mark.parametrize("argv", [
