@@ -282,8 +282,12 @@ REJECTED = {
     "no-times": (_cfg(PC, times=[]), *CONFIG, "times: must list"),
     "format-xml": (_cfg(PC, format="xml"), *CONFIG, "format: expected 'csv'"),
     "c-factor-of-1": (_cfg(NR, c_factor=1.0), *CONFIG, "c_factor: must exceed 1"),
-    "removed-gamma-spread-tol": (_cfg(PC, gamma_spread_tol=0.01), *CONFIG,
-                                 "gamma_spread_tol: unknown key"),
+    # gamma_spread_tol is no longer a key: values it once refused as not
+    # positive are now refused as an unknown key
+    "gamma-spread-tol-zero": (_cfg(PC, gamma_spread_tol=0.0), *CONFIG,
+                              "gamma_spread_tol: unknown key"),
+    "gamma-spread-tol-negative": (_cfg(PC, gamma_spread_tol=-1.0), *CONFIG,
+                                  "gamma_spread_tol: unknown key"),
     # unit systems whose products over- or underflow
     "rest-omega-underflows": (_cfg(PC, units={"m": 1e-300}), *CONFIG, "rest_omega**2 is 0.0"),
     "c-squared-underflows": (_cfg(BD, units={"c": 1e-200}), *CONFIG, "units: c*c is 0.0"),
