@@ -180,7 +180,7 @@ def _sha256(root):
 
 
 def _fingerprint():
-    """What output bytes depend on beyond kg_lab: numpy and its SIMD extensions."""
+    """What output bytes may depend on beyond kg_lab: numpy and its SIMD extensions."""
     return {"numpy": np.__version__, "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
 
 
@@ -197,13 +197,15 @@ def catalog(tmp_path_factory):
 
 
 def test_catalog_outputs_match_the_manifest(catalog):
+    # The hashes are the contract. The fingerprint is a record: a host whose
+    # numpy dispatches to other SIMD kernels may still write the same bytes,
+    # and when it does not, the message names both fingerprints.
     manifest = json.loads(MANIFEST.read_text())
-    assert manifest["fingerprint"] == _fingerprint(), (
-        f"{MANIFEST.name} was written under {manifest['fingerprint']}, not {_fingerprint()}; "
-        f"regenerate it with {REGENERATE}")
     changes = _changes(manifest["sha256"], _sha256(catalog[0]))
     assert not changes, (f"catalog outputs differ from {MANIFEST.name} ({'; '.join(changes)}); "
-                         f"a declared output change regenerates it with {REGENERATE}")
+                         f"it was written under {manifest['fingerprint']}, this host has "
+                         f"{_fingerprint()}; a declared output change regenerates it with "
+                         f"{REGENERATE}")
 
 
 def _bits(node):
