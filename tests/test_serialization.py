@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kg_lab import (__version__, cli, compute_fields, evolve, from_coefficients,
-                    unphysical_negative_branch)
+                    superposition_density, unphysical_negative_branch)
 from kg_lab._floattext import _CHUNK_VALUES
 from kg_lab.scenarios import (
     FIELD_COLUMNS,
@@ -244,18 +244,33 @@ def _peak_velocity(sample, meta):
     return sample["j_amended"][peak] / sample["rho_amended"][peak]
 
 
-# The results read off the fields, by scenario: the reported values of one
-# series, by its label, and each sample's value rebuilt from its fields and
-# _run.json.
+def _per_sample(rebuild):
+    """A rebuild of one value per sample, from each sample and _run.json."""
+    return lambda samples, meta, config: [rebuild(sample, meta) for sample in samples]
+
+
+def _amplitude_vs_state_max_diff(samples, meta, config):
+    # The largest gap over the sample times, so that a smallest one differs:
+    # on the default config the per-t gaps are 5.9e-17, 6.6e-17 and 1.03e-16.
+    return max(np.abs(superposition_density(config.modes, t, config.grid, config.units).rho
+                      - sample["rho_kg"]).max() for sample, t in zip(samples, config.times))
+
+
+# The results read off the fields, by scenario: the reported value of one
+# series, by its label, and that value rebuilt from the series' samples,
+# _run.json and the config.
 RESULTS_FROM_FIELDS = {
     "gamma-density": (lambda results, label: [row["max_rel_deviation"]
                                               for row in results["density_vs_gamma"]],
-                      _max_rel_deviation),
+                      _per_sample(_max_rel_deviation)),
     "amended": (lambda results, label: [row["peak_velocity"]
                                         for row in results["amended_reduction"]],
-                _peak_velocity),
+                _per_sample(_peak_velocity)),
     "branch-demo": (lambda results, label: results["branches"][label]["density_ratio_mean"],
-                    lambda sample, meta: np.mean(sample["rho_kg"] / sample["rho_nonrel"])),
+                    _per_sample(lambda sample, meta: np.mean(sample["rho_kg"]
+                                                             / sample["rho_nonrel"]))),
+    "superposition-scan": (lambda results, label: results["amplitude_vs_state_max_diff"],
+                           _amplitude_vs_state_max_diff),
 }
 
 
@@ -285,7 +300,7 @@ def _assert_dropped_columns_rebuild(config, label, blocks, rows, meta):
     if config.scenario in RESULTS_FROM_FIELDS:
         reported, rebuild = RESULTS_FROM_FIELDS[config.scenario]
         assert _bits(reported(meta["results"], label)) == \
-            _bits([rebuild(sample, meta) for sample in samples]), label
+            _bits(rebuild(samples, meta, config)), label
 
 
 @pytest.mark.parametrize("name", scenario_names())
