@@ -59,9 +59,10 @@ def _read_config(path: str) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    text = _read_config(args.config)
-    config = validate_config(text, output_override=args.out, format_override=args.format)
-    result = run_scenario(config)
+    if not args.out:
+        raise ConfigError("kg-lab run: --out: must be a non-empty path")
+    config = validate_config(_read_config(args.config))
+    result = run_scenario(config, Path(args.out), args.format)
     if not args.quiet:
         _print_run(result)
     return EXIT_OK
@@ -74,12 +75,11 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = _read_config(args.config)
-    config = validate_config(text)
+    config = validate_config(_read_config(args.config))
     _compute(config)
     print(f"OK: {config.scenario} "
           f"(n={config.grid.n}, length={config.grid.length:g}, "
-          f"{len(config.times)} sample times, format={config.fmt})")
+          f"{len(config.times)} sample times)")
     return EXIT_OK
 
 
@@ -103,9 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario config")
     run_p.add_argument("config", help="path to a JSON scenario config")
-    run_p.add_argument("--out", default=None, help="output directory (overrides config)")
-    run_p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="data file format (overrides config)")
+    run_p.add_argument("--out", default="kg-lab-out",
+                       help="output directory (default: kg-lab-out)")
+    run_p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="data file format (default: csv)")
     run_p.add_argument("--quiet", action="store_true", help="suppress the summary table")
     run_p.set_defaults(func=_cmd_run)
 

@@ -12,8 +12,10 @@ Output determinism: identical config and arguments produce byte-identical
 files. Every float is written as '%.17g' would write it, except that
 non-finite values are spelled NaN, Infinity and -Infinity (the negative
 branch of branch-demo writes a NaN gamma_bar and gamma_spread). JSON keys
-are sorted, newlines are '\n', and nothing time- or path-dependent is
-emitted beyond what the config itself contains.
+are sorted, newlines are '\n', and nothing time-dependent is emitted. The
+output directory and the table format are arguments of the run, not keys
+of the config, so a config writes the same _run.json wherever and in
+whichever format its tables go.
 
 Each evolved state's observables are two float64 tables:
 run_scenario(config).series[label] holds .fields, of shape
@@ -88,8 +90,6 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     "units": {"hbar": 1.0, "c": 1.0, "m": 4.0},
     "state": {"packet": {"x0": 0.0, "k0": 3.0, "sigma": 20.0}},
     "times": [0.0],
-    "format": "csv",
-    "output": "kg-lab-out",
 }
 
 
@@ -173,8 +173,6 @@ class ScenarioConfig:
     grid: Grid1D
     units: UnitSystem
     times: tuple[float, ...]
-    fmt: str
-    output: str
     state: SpectralState
     packet: Optional[PacketSpec] = None
     modes: Optional[ModeSet] = None
@@ -295,8 +293,7 @@ def _initial_state(block: dict[str, Any], grid: Grid1D,
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def validate_config(text: str, *, output_override: Optional[str] = None,
-                    format_override: Optional[str] = None) -> ScenarioConfig:
+def validate_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario config into a ScenarioConfig.
 
     The initial state is built here, once, and every runner starts from it.
@@ -319,15 +316,6 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
     if not isinstance(name, str):
         raise ConfigError("scenario: required string field")
     resolved = _merge_strict(default_config(name), raw, "")
-    if output_override is not None:
-        resolved["output"] = output_override
-    if format_override is not None:
-        resolved["format"] = format_override
-
-    if resolved["format"] not in ("csv", "json"):
-        raise ConfigError(f"format: expected 'csv' or 'json', got {resolved['format']!r}")
-    if not resolved["output"]:
-        raise ConfigError("output: must be a non-empty path")
 
     gcfg, ucfg = resolved["grid"], resolved["units"]
     try:
@@ -365,8 +353,7 @@ def validate_config(text: str, *, output_override: Optional[str] = None,
     _check_max_omega(_KG_PLUS, grid, units, reach, "times")
 
     return ScenarioConfig(
-        scenario=name, resolved=resolved, grid=grid, units=units, times=times,
-        fmt=resolved["format"], output=resolved["output"], **kwargs,
+        scenario=name, resolved=resolved, grid=grid, units=units, times=times, **kwargs,
     )
 
 
@@ -738,23 +725,25 @@ def _compute(config: ScenarioConfig) -> _RunnerOutput:
         raise FloatingPointError(f"scenario {config.scenario!r}, stage runner: {exc}") from exc
 
 
-def run_scenario(config: ScenarioConfig) -> RunResult:
-    """Execute one scenario and write its outputs; returns what was written.
+def run_scenario(config: ScenarioConfig, out: Path, fmt: str) -> RunResult:
+    """Execute one scenario and write its outputs to directory out, as fmt
+    ('csv' or 'json') tables; returns what was written.
 
     Nothing is written, and no directory made, unless the computation
     (_compute) returns. If an output cannot be written in full, that file
     and the files this run already wrote are removed before the error
     propagates, so a failed run leaves no half of itself behind.
     """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format: expected 'csv' or 'json', got {fmt!r}")
     series, derived, results = _compute(config)
-    out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
     try:
         for label, ser in series.items():
             stem = config.scenario if label == "main" else f"{config.scenario}_{label}"
-            for name, body in _series_files(ser, config.fmt).items():
-                path = out / f"{stem}_{name}.{config.fmt}"
+            for name, body in _series_files(ser, fmt).items():
+                path = out / f"{stem}_{name}.{fmt}"
                 # Listed before it is opened, so that a failure mid-file
                 # removes the partial file too.
                 files.append(path)

@@ -247,10 +247,9 @@ def test_a_sweep_op_takes_dj_dx_on_the_half_spectrum(transform_calls, kind, inve
 
 
 def test_a_packet_continuity_run_computes_omega_once_per_lineage(monkeypatch, tmp_path):
-    config = validate_config('{"scenario": "packet-continuity"}',
-                             output_override=str(tmp_path))
+    config = validate_config('{"scenario": "packet-continuity"}')
     calls = _count_omega_calls(monkeypatch)
-    run_scenario(config)
+    run_scenario(config, tmp_path, "csv")
     # One state lineage: the lattice frequencies once, then every evolved
     # state and its gamma statistics read them. The carrier's group
     # velocity takes one frequency of its own.

@@ -92,16 +92,14 @@ def test_k_and_index_selectors_name_the_same_state(name, j):
 def test_derived_block_is_the_initial_states_gamma_statistics(tmp_path, name):
     # Bit for bit.
     stats = gamma_of_state(validate_config(_config_text(name)).state)
-    derived = run_scenario(validate_config(_config_text(name),
-                                           output_override=str(tmp_path))).derived
+    derived = run_scenario(validate_config(_config_text(name)), tmp_path, "csv").derived
     assert (derived["gamma_bar"], derived["gamma_spread"]) == stats
 
 
 def test_series_columns_hold_the_named_observables(tmp_path):
     # Each column of the tables, by its name, against the observable it names.
-    cfg = validate_config(_config_text("amended", **SMALL),
-                          output_override=str(tmp_path))
-    series = run_scenario(cfg).series["main"]
+    cfg = validate_config(_config_text("amended", **SMALL))
+    series = run_scenario(cfg, tmp_path, "csv").series["main"]
     grid = cfg.grid
     for i, t in enumerate(cfg.times):
         result = evolve(cfg.state, t)
@@ -123,8 +121,8 @@ def test_series_columns_hold_the_named_observables(tmp_path):
 
 
 def test_branch_demo_writes_both_branches(tmp_path):
-    cfg = validate_config(_config_text("branch-demo"), output_override=str(tmp_path))
-    ratios = run_scenario(cfg).results["branches"]
+    cfg = validate_config(_config_text("branch-demo"))
+    ratios = run_scenario(cfg, tmp_path, "csv").results["branches"]
     assert ratios["positive"]["density_ratio_mean"][0] == pytest.approx(1.25, abs=1e-12)
     assert ratios["negative"]["density_ratio_mean"][0] == pytest.approx(-1.25, abs=1e-12)
 
@@ -140,8 +138,8 @@ REALIZED_LATTICE = {
 def test_run_json_reports_the_lattice_the_state_evolves_with(tmp_path, name):
     # Each reported k is the grid's lattice wavenumber and each omega the
     # state's own frequency at that position, bit for bit.
-    cfg = validate_config(_config_text(name), output_override=str(tmp_path))
-    block, k_keys, omega_keys = REALIZED_LATTICE[name](run_scenario(cfg).results)
+    cfg = validate_config(_config_text(name))
+    block, k_keys, omega_keys = REALIZED_LATTICE[name](run_scenario(cfg, tmp_path, "csv").results)
     index = [cfg.grid.wavenumber_index(k) for _, k in cfg.modes.modes]
     assert sorted(index) == np.flatnonzero(cfg.state.coefficients).tolist()
     bits = lambda values: np.array(values, dtype=np.float64).view(np.uint64).tolist()
@@ -165,8 +163,7 @@ def test_rerun_replaces_each_output_file(tmp_path):
     # A rerun writes each output as a new file: a hard link to the old one
     # keeps the first run's bytes, and a symlink is replaced, not followed.
     out = tmp_path / "out"
-    run_scenario(validate_config(_config_text("amended", **SMALL),
-                                 output_override=str(out)))
+    run_scenario(validate_config(_config_text("amended", **SMALL)), out, "csv")
     fields = out / "amended_fields.csv"
     first = fields.read_bytes()
     kept = tmp_path / "kept.csv"
@@ -177,8 +174,8 @@ def test_rerun_replaces_each_output_file(tmp_path):
     summary.unlink()
     summary.symlink_to(target)
 
-    run_scenario(validate_config(_config_text("amended", **{**SMALL, "times": [5.0]}),
-                                 output_override=str(out)))
+    run_scenario(validate_config(_config_text("amended", **{**SMALL, "times": [5.0]})), out,
+                 "csv")
     assert kept.read_bytes() == first
     assert not os.path.samefile(fields, kept)
     assert fields.read_bytes() != first
@@ -273,14 +270,17 @@ REJECTED = {
     "removed-strip-time": (_cfg(NR, strip_time=5.0), *CONFIG, "strip_time: unknown key"),
     "not-json": (b"{not json", *CONFIG, "not valid JSON: line 1 column 2"),
     "not-an-object": (b"[1, 2]", *CONFIG, "expected a top-level object"),
-    "not-utf-8": (b'{"scenario": "amended", "output": "\xff\xfe"}', *CONFIG, "not UTF-8 text"),
+    "not-utf-8": (b'{"scenario": "amended\xff\xfe"}', *CONFIG, "not UTF-8 text"),
     "nested-past-the-parser": (DEEP + b"[" * 100_000, *CONFIG, "nested too deeply to parse"),
     "nested-past-the-schema": (DEEP + b"[" * 500 + b"]" * 500 + b"}", *CONFIG, "than 16 levels"),
     "missing-file": (None, 4, "FileNotFoundError", "No such file or directory: 'cfg.json'"),
     "n-not-a-power-of-two": (_cfg(PC, grid={"n": 1000}), *CONFIG, "grid: n must be"),
     "negative-mass": (_cfg(PC, units={"m": -1.0}), *CONFIG, "units: m must be"),
     "no-times": (_cfg(PC, times=[]), *CONFIG, "times: must list"),
-    "format-xml": (_cfg(PC, format="xml"), *CONFIG, "format: expected 'csv'"),
+    # where and how a run writes are run's --out and --format, not config
+    # keys: a config that sets either is refused as an unknown key
+    "format-xml": (_cfg(PC, format="xml"), *CONFIG, "format: unknown key"),
+    "output-in-config": (_cfg(PC, output="elsewhere"), *CONFIG, "output: unknown key"),
     "c-factor-of-1": (_cfg(NR, c_factor=1.0), *CONFIG, "c_factor: must exceed 1"),
     # gamma_spread_tol is no longer a key: values it once refused as not
     # positive are now refused as an unknown key
@@ -409,8 +409,7 @@ def test_validate_and_run_refuse_alike(tmp_path, monkeypatch, row):
 
 def _assert_refused_alike(config, code, error, fragment):
     """Each command exits with the row's code and one record, warns of nothing
-    and leaves no file in the working directory: no --out directory, nor the
-    config's own output."""
+    and leaves no file in the working directory: no --out directory."""
     if config is not None:
         Path("cfg.json").write_bytes(config if isinstance(config, bytes)
                                      else json.dumps(config).encode())
@@ -434,7 +433,7 @@ def _assert_refused_alike(config, code, error, fragment):
     {"scenario": "nonrel-limit", "times": [0.0, 5.0]},  # read 3.8e4 at t = 0
 ])
 def test_continuity_defect_stays_at_rounding_for_states_at_rest(tmp_path, config):
-    run = run_scenario(validate_config(json.dumps(config), output_override=str(tmp_path)))
+    run = run_scenario(validate_config(json.dumps(config)), tmp_path, "csv")
     column = run.series["main"].summary[:, SUMMARY_COLUMNS.index("continuity_exact")]
     assert np.all(column <= 1e-9)
     for key in ("max_residual_conserved", "max_residual_amended"):
@@ -451,10 +450,17 @@ def test_amended_packet_at_rest_reports_its_peak_velocity(tmp_path, monkeypatch)
     assert [abs(row["peak_velocity"]) <= 1e-12 for row in rows] == [True]
 
 
+def test_run_without_flags_writes_csv_to_kg_lab_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(_config_text("amended", **SMALL))
+    assert _cli(["run", "cfg.json", "--quiet"]) == (0, "", "")
+    assert sorted(os.listdir("kg-lab-out")) == [
+        "amended_fields.csv", "amended_run.json", "amended_summary.csv"]
+
+
 def test_continuity_residual_stays_small_at_t_1e6(tmp_path):
-    cfg = validate_config(_config_text("packet-continuity", times=[1e6]),
-                          output_override=str(tmp_path))
-    assert run_scenario(cfg).results["max_residual_conserved"] <= 1e-6
+    cfg = validate_config(_config_text("packet-continuity", times=[1e6]))
+    assert run_scenario(cfg, tmp_path, "csv").results["max_residual_conserved"] <= 1e-6
 
 
 def _limit_address_space():
@@ -557,16 +563,16 @@ def test_each_sample_is_evolved_once(tmp_path, monkeypatch, transform_calls, nam
     evolve = kg_lab.scenarios.evolve
     monkeypatch.setattr(kg_lab.scenarios, "evolve",
                         lambda state, t: calls.append(t) or evolve(state, t))
-    config = validate_config(_config_text(name), output_override=str(tmp_path / "out"))
+    config = validate_config(_config_text(name))
     transform_calls.clear()  # validate builds the initial state; count the run alone
-    run_scenario(config)
+    run_scenario(config, tmp_path / "out", "csv")
     evolves = EVOLVE_CALLS.get(name, 1)
     assert len(calls) == evolves
     assert transform_calls["rfft"] == transform_calls["irfft"]
     assert (transform_calls["forward_transform"] + transform_calls["inverse_transform"],
             transform_calls["rfft"] + transform_calls["irfft"]) == TRANSFORM_CALLS.get(name, (4, 2))
     # kg-lab validate evolves what run evolves, and writes nothing: not even
-    # the config's default output directory in its working directory.
+    # run's default --out directory in its working directory.
     calls.clear()
     monkeypatch.chdir(tmp_path)
     Path("cfg.json").write_text(_config_text(name))
@@ -581,8 +587,8 @@ def test_each_sample_is_evolved_once(tmp_path, monkeypatch, transform_calls, nam
 @pytest.mark.parametrize("units, base_gap", [({"c": 10.0}, 2.501626607374066e-08),
                                              ({"c": 640.0}, 6.107659927291219e-12)])
 def test_nonrel_limit_gap_matches_a_40_digit_reference(tmp_path, units, base_gap):
-    results = run_scenario(validate_config(_config_text(NR, units=units),
-                                           output_override=str(tmp_path))).results
+    results = run_scenario(validate_config(_config_text(NR, units=units)), tmp_path,
+                           "csv").results
     assert results["gaps"]["base"]["l2_gap"] == pytest.approx(base_gap, rel=1e-14, abs=0.0)
     assert round(results["gap_ratio"], 3) == 4.0
 
@@ -607,7 +613,7 @@ def test_nonrel_limit_gap_falls_as_the_square_of_c(c, k0, sigma, t):
     config = _cfg(NR, units={"c": c}, state={"packet": {"x0": 0.0, "k0": k0, "sigma": sigma}},
                   times=[t])
     with tempfile.TemporaryDirectory() as tmp:
-        results = run_scenario(validate_config(json.dumps(config), output_override=tmp)).results
+        results = run_scenario(validate_config(json.dumps(config)), Path(tmp), "csv").results
     assert abs(results["gap_ratio"] - 4.0) <= 0.01
 
 
@@ -630,8 +636,10 @@ def test_nonrel_limit_reads_its_gaps_at_the_time_farthest_from_0(times, data):
     [],
     ["run"],
     ["run", "cfg.json", "--format", "xml"],
+    ["run", "cfg.json", "--out", ""],
     ["bogus"],
-], ids=["unknown-option", "no-command", "no-config", "bad-format", "unknown-command"])
+], ids=["unknown-option", "no-command", "no-config", "bad-format", "empty-out",
+        "unknown-command"])
 def test_usage_errors_exit_2_with_one_json_record(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

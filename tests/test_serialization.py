@@ -153,20 +153,21 @@ FORMATS = ("csv", "json")
 
 
 def _run_catalog(root):
-    """Run every default config once per format through kg-lab run in root, each
-    to the relative out/<format>/<scenario> that _run.json echoes. Returns root
-    and each run's stdout and RunResult, by (scenario, format)."""
+    """Run every default config once per format through kg-lab run, each to
+    root/out/<format>/<scenario>. Returns root and each run's stdout and
+    RunResult, by (scenario, format)."""
     returned, runs = [], {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.chdir(root)
         patch.setattr(cli, "run_scenario",
-                      lambda config: returned.append(run_scenario(config)) or returned[-1])
+                      lambda *args: returned.append(run_scenario(*args)) or returned[-1])
         for name in scenario_names():
-            Path(f"{name}.json").write_text(json.dumps({"scenario": name}))
+            config = root / f"{name}.json"
+            config.write_text(json.dumps({"scenario": name}))
             for fmt in FORMATS:
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
-                    argv = ["run", f"{name}.json", "--out", f"out/{fmt}/{name}", "--format", fmt]
+                    argv = ["run", str(config), "--out", str(root / "out" / fmt / name),
+                            "--format", fmt]
                     if cli.main(argv):
                         raise RuntimeError(f"kg-lab {' '.join(argv)} failed")
                 runs[name, fmt] = stdout.getvalue(), returned.pop()
@@ -304,24 +305,27 @@ def _assert_dropped_columns_rebuild(config, label, blocks, rows, meta):
 
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_catalog_outputs_match_per_value_reference(catalog, name):
+def test_catalog_outputs_match_per_value_reference(catalog, tmp_path, name):
     # The output law of each format's run: a fields and a summary file per series,
     # then _run.json, each named on stdout; each table the per-value text of the
-    # array the run returned; _run.json the config with the run's overrides.
+    # array the run returned; _run.json the default config, the same bytes in
+    # both formats and wherever the run writes.
     root, runs = catalog
     config = validate_config(json.dumps({"scenario": name}))
     times = config.times
+    run_json = {}
     for fmt in FORMATS:
         stdout, result = runs[name, fmt]
-        out = Path("out", fmt, name)
+        out = root / "out" / fmt / name
         stems = [name if label == "main" else f"{name}_{label}" for label in result.series]
         files = [out / f"{stem}_{table}.{fmt}" for stem in stems for table in ("fields", "summary")]
         assert result.files == files + [out / f"{name}_run.json"]
-        assert sorted(os.listdir(root / out)) == sorted(path.name for path in result.files)
+        assert sorted(os.listdir(out)) == sorted(path.name for path in result.files)
         assert stdout.startswith(f"scenario: {name}\n")
         assert stdout.endswith("".join(f"wrote {path}\n" for path in result.files))
 
-        meta = json.loads((root / out / f"{name}_run.json").read_text(), parse_int=float)
+        run_json[fmt] = (out / f"{name}_run.json").read_bytes()
+        meta = json.loads(run_json[fmt], parse_int=float)
         for i, (label, series) in enumerate(result.series.items()):
             fields, summary = series.fields, series.summary
             assert fields.dtype == summary.dtype == np.float64
@@ -335,15 +339,19 @@ def test_catalog_outputs_match_per_value_reference(catalog, name):
                 refs = _ref_csv(fields, FIELD_COLUMNS), _ref_csv(summary, SUMMARY_COLUMNS)
             else:
                 refs = _ref_fields_json(fields), _ref_summary_json(summary)
-            assert tuple((root / path).read_text() for path in files[2 * i:2 * i + 2]) == refs
+            assert tuple(path.read_text() for path in files[2 * i:2 * i + 2]) == refs
             _assert_dropped_columns_rebuild(
-                config, label, *_read_back(*(root / path for path in files[2 * i:2 * i + 2]), fmt),
-                meta)
+                config, label, *_read_back(*files[2 * i:2 * i + 2], fmt), meta)
 
         assert _bits(meta) == _bits({
-            "scenario": name, "version": __version__,
-            "config": {**default_config(name), "output": str(out), "format": fmt},
+            "scenario": name, "version": __version__, "config": default_config(name),
             "derived": result.derived, "results": result.results})
+
+    assert run_json["csv"] == run_json["json"]
+    elsewhere = tmp_path / "an" / "out" / "of" / "another" / "length"
+    assert len(str(elsewhere)) != len(str(root / "out" / "csv" / name))
+    run_scenario(config, elsewhere, "csv")
+    assert (elsewhere / f"{name}_run.json").read_bytes() == run_json["csv"]
 
 
 @settings(deadline=None)  # each example runs a scenario
