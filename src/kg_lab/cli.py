@@ -75,7 +75,8 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = validate_config(_read_config(args.config))
+    text = _read_config(args.config)
+    config = validate_config(text)
     _compute(config)
     print(f"OK: {config.scenario} "
           f"(n={config.grid.n}, length={config.grid.length:g}, "
