@@ -50,7 +50,10 @@ def _print_run(result: RunResult) -> None:
 
 
 def _read_config(path: str) -> str:
-    """The text of a config file; ConfigError unless it is UTF-8."""
+    """The text of a config file; ConfigError unless its path holds no NUL
+    byte, which no file name can, and its text is UTF-8."""
+    if "\0" in path:
+        raise ConfigError("kg-lab: config: a path cannot hold a NUL byte")
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
@@ -59,8 +62,8 @@ def _read_config(path: str) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if not args.out:
-        raise ConfigError("kg-lab run: --out: must be a non-empty path")
+    if not args.out or "\0" in args.out:
+        raise ConfigError("kg-lab run: --out: must be a non-empty path with no NUL byte")
     config = validate_config(_read_config(args.config))
     result = run_scenario(config, Path(args.out), args.format)
     if not args.quiet:

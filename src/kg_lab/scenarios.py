@@ -9,7 +9,9 @@ A scenario is one entry of the SCENARIOS registry: its overrides of the
 shared defaults, its blurb, and its runner.
 
 Output determinism: identical config and arguments produce byte-identical
-files. Every float is written as '%.17g' would write it, except that
+files. Float arrays are written as '%.17g' would write each value, and a
+single number as json.dumps writes it (its shortest repr, so an integral
+float keeps its point and -0.0 its sign); both read back exactly, and
 non-finite values are spelled NaN, Infinity and -Infinity (the negative
 branch of branch-demo writes a NaN gamma_bar and gamma_spread). JSON keys
 are sorted, newlines are '\n', and nothing time-dependent is emitted. The
@@ -22,15 +24,15 @@ run_scenario(config).series[label] holds .fields, of shape
 (len(times), n, len(FIELD_COLUMNS)), and .summary, of shape
 (len(times), len(SUMMARY_COLUMNS)), with columns in FIELD_COLUMNS and
 SUMMARY_COLUMNS order. CSV writes every row of a table as one line (_csv);
-JSON writes one record per sample time (_json).
+JSON writes one record per sample time (_json_fields, _json).
 
-Float arrays (the fields and summary tables, and the arrays in JSON) are
-formatted by _floattext.format_rows: their digits are decided exactly in
-numpy from a double-double product, and a value too close to a rounding
+Float arrays (the CSV tables, and the columns of the JSON fields records)
+are formatted by _floattext.format_rows: their digits are decided exactly
+in numpy from a double-double product, and a value too close to a rounding
 tie for that product to decide takes its digits from '%' instead, so the
-bytes are '%.17g''s either way. Python scalars are formatted by '%' (_fmt).
-Every output file is written chunk by chunk as it is formatted (_write_file),
-so no file's text is held whole.
+bytes are '%.17g''s either way. A fields or CSV file is written chunk by
+chunk as it is formatted (_write_file), so its text is never held whole;
+a JSON summary and _run.json are each one json.dumps text.
 """
 from __future__ import annotations
 
@@ -360,80 +362,47 @@ def validate_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt(x: float) -> str:
-    """One Python float as format_rows writes it: '%.17g', or NaN, Infinity, -Infinity."""
-    if math.isfinite(x):
-        return "%.17g" % x
-    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
-
-
 # What a file's text is written through, a piece at a time: a file's write,
 # or a bytearray's extend.
 _Write = Callable[[bytes | bytearray | memoryview], object]
 
 
-def _dump(obj: Any, write: _Write, indent: int = 0) -> None:
-    """Write obj through write as JSON with sorted keys and 17-significant-digit floats.
-
-    A 1-D float ndarray is written like a list of floats. Its text is the
-    only text held whole, so that the separator after its last value can be
-    dropped.
-    """
-    if isinstance(obj, np.ndarray):
-        text = bytearray(b"[")
-        format_rows(np.asarray(obj, dtype=np.float64).reshape(-1, 1), [b", "], text.extend)
-        text[max(1, len(text) - 2):] = b"]"
-        write(text)
-        return
-    if isinstance(obj, dict) and obj:
-        opening, closing = b"{", b"}"
-        items = [(json.dumps(str(key)).encode() + b": ", value)
-                 for key, value in sorted(obj.items())]
-    elif isinstance(obj, (list, tuple)) and not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-        opening, closing = b"[", b"]"
-        items = [(b"", value) for value in obj]
-    else:
-        write(_scalar(obj).encode())
-        return
-    inner = b"  " * (indent + 1)
-    write(opening)
-    for i, (key, value) in enumerate(items):
-        write(b"%s\n%s%s" % (b"," if i else b"", inner, key))
-        _dump(value, write, indent + 1)
-    write(b"\n%s%s" % (b"  " * indent, closing))
-
-
-def _scalar(obj: Any) -> str:
-    """The JSON text of anything but a nonempty dict or a list that holds more than numbers."""
-    if isinstance(obj, dict):
-        return "{}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
 def _json(obj: Any, write: _Write) -> None:
-    """A JSON file: obj, then a newline."""
-    _dump(obj, write)
-    write(b"\n")
+    """A JSON file: obj with sorted keys and an indent of 2, then a newline."""
+    write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+
+
+def _json_fields(fields: np.ndarray, write: _Write) -> None:
+    """A fields table as JSON, laid out as _json lays it out but with each
+    column's floats on one line: one record per sample time, keys sorted.
+
+    A column's text is the only text held whole, so that the separator
+    after its last value can be dropped.
+    """
+    write(b'{\n  "fields": [')
+    for i, block in enumerate(fields):
+        write(b",\n    {" if i else b"\n    {")
+        columns = dict(zip(FIELD_COLUMNS, block.T))
+        for j, name in enumerate(sorted(columns)):
+            write(b'%s\n      "%s": ' % (b"," if j else b"", name.encode()))
+            if name == "t":
+                write(json.dumps(float(columns[name][0])).encode())
+                continue
+            text = bytearray(b"[")
+            format_rows(columns[name].reshape(-1, 1), [b", "], text.extend)
+            text[-2:] = b"]"
+            write(text)
+        write(b"\n    }")
+    write(b"\n  ]\n}\n")
 
 
 def _write_file(path: Path, body: Callable[[_Write], None]) -> None:
     """Write a file at path as a new inode, replacing whatever was there.
 
-    body writes the file's text, chunk by chunk, through the write it is
-    given, so no file's text is ever held whole. Unlinking first means a
-    rerun never truncates the old file in place: truncating blocks the
-    previous run had flushed costs a discard and a writeback on close
+    body writes the file's text, a piece at a time, through the write it
+    is given, so a table's text need not be held whole. Unlinking first
+    means a rerun never truncates the old file in place: truncating blocks
+    the previous run had flushed costs a discard and a writeback on close
     (about 0.13 s for a 4 MB fields file on ext4), where a new inode stays
     delayed-allocated. A hard link to the old file keeps its bytes, and a
     symlink is replaced, not followed. The exclusive open fails, rather
@@ -512,10 +481,8 @@ def _series_files(series: ObservableSeries, fmt: str) -> dict[str, Callable[[_Wr
     if fmt == "csv":
         return {"fields": functools.partial(_csv, series.fields, FIELD_COLUMNS),
                 "summary": functools.partial(_csv, series.summary, SUMMARY_COLUMNS)}
-    fields = [{"t": block[0, 0], **dict(zip(FIELD_COLUMNS[1:], block.T[1:]))}
-              for block in series.fields]
     summary = [dict(zip(SUMMARY_COLUMNS, row)) for row in series.summary.tolist()]
-    return {"fields": functools.partial(_json, {"fields": fields}),
+    return {"fields": functools.partial(_json_fields, series.fields),
             "summary": functools.partial(_json, {"summary": summary})}
 
 

@@ -638,8 +638,11 @@ def test_nonrel_limit_reads_its_gaps_at_the_time_farthest_from_0(times, data):
     ["run", "cfg.json", "--format", "xml"],
     ["run", "cfg.json", "--out", ""],
     ["bogus"],
+    ["run", "c\x00.json"],
+    ["validate", "c\x00.json"],
+    ["run", "c.json", "--out", "a\x00b"],
 ], ids=["unknown-option", "no-command", "no-config", "bad-format", "empty-out",
-        "unknown-command"])
+        "unknown-command", "nul-in-run-config", "nul-in-validate-config", "nul-in-out"])
 def test_usage_errors_exit_2_with_one_json_record(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

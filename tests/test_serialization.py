@@ -1,9 +1,11 @@
 """The catalog's output contract, and float text against a per-value reference.
 
-The writers format whole tables at once and stream them to their file chunk
-by chunk; the reference formats one value at a time with format(x, ".17g")
-and spells non-finite values NaN, Infinity and -Infinity. The two must agree
-byte for byte, for tables of one chunk and of several.
+The writers format whole float arrays at once and stream them to their file
+chunk by chunk; the reference formats one value at a time with
+format(x, ".17g") and spells non-finite values NaN, Infinity and -Infinity.
+A single number (a JSON record's t, a summary value) is json.dumps text in
+both. The two must agree byte for byte, for tables of one chunk and of
+several.
 
 Every default config is run once per format through kg-lab run: each run meets
 one output law, and all outputs must match the SHA-256 manifest catalog_sha256.json,
@@ -35,7 +37,6 @@ from kg_lab.scenarios import (
     ObservableSeries,
     _compute,
     _csv,
-    _dump,
     _series_files,
     _write_file,
     default_config,
@@ -72,11 +73,15 @@ tables = st.one_of(
     st.sampled_from([FIELD_COLUMNS, SUMMARY_COLUMNS]).flatmap(
         lambda columns: st.tuples(st.just(columns),
                                   notation_tables(len(columns), _CHUNK_VALUES))))
-arrays = st.one_of(hnp.arrays(np.float64, st.integers(0, 40), elements=floats64),
-                   notation_tables(1, _CHUNK_VALUES).map(np.ravel))
-series_strategy = st.integers(1, 3).flatmap(
-    lambda times: st.builds(ObservableSeries, _table(FIELD_COLUMNS, times).map(_with_block_times),
-                            _table(SUMMARY_COLUMNS, times)))
+# A series of a few samples, or of one sample whose fields columns each hold
+# more than one chunk in every notation.
+series_strategy = st.one_of(
+    st.integers(1, 3).flatmap(lambda times: st.builds(
+        ObservableSeries, _table(FIELD_COLUMNS, times).map(_with_block_times),
+        _table(SUMMARY_COLUMNS, times))),
+    st.builds(ObservableSeries, notation_tables(1, _CHUNK_VALUES).map(
+        lambda column: _with_block_times(np.repeat(column[None], len(FIELD_COLUMNS), axis=2))),
+        _table(SUMMARY_COLUMNS, 1)))
 
 
 def _ref(x):
@@ -101,7 +106,7 @@ def _ref_csv(table, columns):
 def _ref_fields_json(fields):
     records = []
     for block in fields:
-        cols = {"t": _ref(block[0, 0]),
+        cols = {"t": json.dumps(float(block[0, 0])),
                 **{name: _ref_array(block[:, c]) for c, name in enumerate(FIELD_COLUMNS) if c}}
         records.append("    {\n" + ",\n".join(f'      "{k}": {cols[k]}' for k in sorted(cols)) + "\n    }")
     return '{\n  "fields": [\n' + ",\n".join(records) + "\n  ]\n}\n"
@@ -110,9 +115,9 @@ def _ref_fields_json(fields):
 def _ref_summary_json(summary):
     records = []
     for row in summary:
-        cols = dict(zip(SUMMARY_COLUMNS, row))
-        records.append("    {\n" + ",\n".join(f'      "{k}": {_ref(cols[k])}' for k in sorted(cols))
-                       + "\n    }")
+        cols = dict(zip(SUMMARY_COLUMNS, map(float, row)))
+        records.append("    {\n" + ",\n".join(f'      "{k}": {json.dumps(cols[k])}'
+                                              for k in sorted(cols)) + "\n    }")
     return '{\n  "summary": [\n' + ",\n".join(records) + "\n  ]\n}\n"
 
 
@@ -126,11 +131,6 @@ def _written(out_dir, body):
     path = out_dir / "file"
     _write_file(path, body)
     return path.read_text()
-
-
-@given(arrays)
-def test_json_array_matches_per_value_reference(out_dir, values):
-    assert _written(out_dir, functools.partial(_dump, values)) == _ref_array(values)
 
 
 @given(tables)
@@ -210,13 +210,12 @@ def test_catalog_outputs_match_the_manifest(catalog):
 
 
 def _bits(node):
-    """A JSON value with each number as the hex text of its float, so that ==
-    compares bit for bit. '%.17g' writes -0.0 as -0: parse with parse_int=float."""
+    """A JSON value with each float as its hex text, so that == compares
+    floats bit for bit and a float never equals an int."""
     if isinstance(node, (dict, list, tuple)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         return {key: _bits(value) for key, value in items}
-    number = isinstance(node, (int, float)) and not isinstance(node, bool)
-    return float(node).hex() if number else node
+    return node.hex() if isinstance(node, float) else node
 
 
 def _read_back(fields_path, summary_path, fmt):
@@ -325,7 +324,7 @@ def test_catalog_outputs_match_per_value_reference(catalog, tmp_path, name):
         assert stdout.endswith("".join(f"wrote {path}\n" for path in result.files))
 
         run_json[fmt] = (out / f"{name}_run.json").read_bytes()
-        meta = json.loads(run_json[fmt], parse_int=float)
+        meta = json.loads(run_json[fmt])
         for i, (label, series) in enumerate(result.series.items()):
             fields, summary = series.fields, series.summary
             assert fields.dtype == summary.dtype == np.float64
@@ -352,6 +351,16 @@ def test_catalog_outputs_match_per_value_reference(catalog, tmp_path, name):
     assert len(str(elsewhere)) != len(str(root / "out" / "csv" / name))
     run_scenario(config, elsewhere, "csv")
     assert (elsewhere / f"{name}_run.json").read_bytes() == run_json["csv"]
+
+
+def test_run_json_keeps_the_type_and_sign_of_every_float(tmp_path):
+    config = validate_config(json.dumps({"scenario": "packet-continuity",
+                                         "state": {"packet": {"x0": -0.0}}}))
+    run_scenario(config, tmp_path, "csv")
+    meta = json.loads((tmp_path / "packet-continuity_run.json").read_text())
+    x0, length = meta["config"]["state"]["packet"]["x0"], meta["config"]["grid"]["length"]
+    assert type(x0) is float and math.copysign(1.0, x0) == -1.0
+    assert type(length) is float and length == 400.0
 
 
 @settings(deadline=None)  # each example runs a scenario
