@@ -55,7 +55,6 @@ from .errors import BandwidthError, ConfigError
 from .foundation import Grid1D, UnitSystem, _finite, make_grid, state_norm
 from .observables import (
     DensityCurrentFields,
-    SuperpositionDensity,
     TwoModeSpec,
     compute_fields,
     continuity_exact,
@@ -128,16 +127,8 @@ def _depth(value: Any) -> int:
     return depth
 
 
-# Paths whose user value replaces the default wholesale instead of merging
-# key by key: a mode selector is index XOR k, so a user 'k' must not inherit
-# the default 'index'.
-_REPLACE_PATHS = {"state.mode"}
-
-
 def _merge_strict(default: Any, user: Any, path: str) -> Any:
     """Overlay user config onto the scenario default, rejecting unknown keys."""
-    if path in _REPLACE_PATHS:
-        return copy.deepcopy(user)
     if isinstance(default, dict):
         if not isinstance(user, dict):
             raise ConfigError(f"{path or 'config'}: expected an object")
@@ -167,8 +158,8 @@ def _merge_strict(default: Any, user: Any, path: str) -> Any:
 class ScenarioConfig:
     """A fully resolved, validated scenario run, with the positive-branch
     initial state it names and the spec that state was built from (modes
-    for every mode form, state.mode as a one-mode set). nonrel-limit's
-    doubled_units is its unit system with c raised by c_factor."""
+    for both mode forms). nonrel-limit's doubled_units is its unit system
+    with c raised by c_factor."""
 
     scenario: str
     resolved: dict[str, Any]
@@ -206,19 +197,18 @@ def _two_mode_k(grid: Grid1D, units: UnitSystem, w: float, path: str) -> float:
     return _lattice_k(grid, int(round(position)), path)
 
 
-def _mode_entry(entry: Any, path: str, keys: set[str],
-                grid: Grid1D) -> tuple[dict[str, Any], float]:
+def _mode_entry(entry: Any, path: str, grid: Grid1D) -> tuple[dict[str, Any], float]:
     """Check one mode entry: the entry with its amplitudes defaulted, and the
     grid's lattice wavenumber that its index or its k names."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = set(entry) - keys
+    unknown = set(entry) - _MODE_ENTRY_KEYS
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
     if ("index" in entry) == ("k" in entry):
         raise ConfigError(f"{path}: give exactly one of 'index' or 'k'")
     out = {name: float(_require_number(entry.get(name, 0.0), f"{path}.{name}"))
-           for name in ("amplitude_re", "amplitude_im") if name in keys}
+           for name in ("amplitude_re", "amplitude_im")}
     if "index" in entry:
         j = out["index"] = int(_require_number(entry["index"], f"{path}.index", integer=True))
         return out, _lattice_k(grid, j, path)
@@ -263,14 +253,10 @@ def _initial_state(block: dict[str, Any], grid: Grid1D,
     spec: dict[str, Any] = {}
     if "modes" in block:
         path = "state.modes"
-        entries = [_mode_entry(e, f"{path}[{i}]", _MODE_ENTRY_KEYS, grid)
-                   for i, e in enumerate(block["modes"])]
+        entries = [_mode_entry(e, f"{path}[{i}]", grid) for i, e in enumerate(block["modes"])]
         block["modes"] = [entry for entry, _ in entries]
         pairs = [(complex(entry["amplitude_re"], entry["amplitude_im"]), k)
                  for entry, k in entries]
-    elif "mode" in block:
-        path = "state.mode"
-        pairs = [(1.0, _mode_entry(block["mode"], path, {"index", "k"}, grid)[1])]
     else:  # a state block names exactly one form: unknown keys are rejected
         path, tm = "state.two_mode", block["two_mode"]
         if tm["a1_sq"] <= 0 or tm["a2_sq"] <= 0:
@@ -308,6 +294,8 @@ def validate_config(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ConfigError(f"config: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("config is not valid JSON: nested too deeply to parse") from exc
     if not isinstance(raw, dict):
@@ -500,18 +488,6 @@ def _main_series(state: SpectralState, config: ScenarioConfig
     return {"main": main}, gamma_of_state(state)._asdict(), samples
 
 
-def _grid_scan(modes: ModeSet, config: ScenarioConfig
-               ) -> tuple[dict[str, Any], list[SuperpositionDensity]]:
-    """Amplitude-space density at each sample time: its minima, and the densities."""
-    densities = [superposition_density(modes, t, config.grid, config.units)
-                 for t in config.times]
-    return {
-        "grid_scan": [{"t": t, "min_density": sd.minimum, "argmin_x": sd.argmin_x}
-                      for t, sd in zip(config.times, densities)],
-        "min_density": min(sd.minimum for sd in densities),
-    }, densities
-
-
 def _run_packet_continuity(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
     derived["group_velocity_carrier"] = group_velocity(_KG_PLUS, config.packet.k0, config.units)
@@ -556,6 +532,9 @@ def _run_amended(config: ScenarioConfig) -> _RunnerOutput:
 
 
 def _run_branch_demo(config: ScenarioConfig) -> _RunnerOutput:
+    if len(config.modes.modes) != 1:
+        raise ConfigError(f"state.modes: branch-demo takes exactly one mode, "
+                          f"got {len(config.modes.modes)}")
     (_, k), = config.modes.modes
     negative = from_coefficients(config.grid, config.units, unphysical_negative_branch(),
                                  config.state.coefficients)
@@ -580,16 +559,18 @@ def _run_two_mode(config: ScenarioConfig) -> _RunnerOutput:
         "k1": k1, "k2": k2,
         "omega1": omega(_KG_PLUS, k1, units), "omega2": omega(_KG_PLUS, k2, units),
     }
-    results.update(_grid_scan(config.modes, config)[0])
+    # The grid minimum is the summary's min_rho_kg column.
+    results["min_density"] = float(
+        series["main"].summary[:, SUMMARY_COLUMNS.index("min_rho_kg")].min())
     return series, derived, results
 
 
 def _run_superposition_scan(config: ScenarioConfig) -> _RunnerOutput:
     series, derived, samples = _main_series(config.state, config)
-    results, densities = _grid_scan(config.modes, config)
-    results["amplitude_vs_state_max_diff"] = max(
-        float(np.max(np.abs(sd.rho - f.rho_kg))) for sd, f in zip(densities, samples))
-    return series, derived, results
+    # The modes' amplitude-space density against the state's, at each sample time.
+    gaps = [np.max(np.abs(superposition_density(config.modes, t, config.grid, config.units).rho
+                          - fields.rho_kg)) for t, fields in zip(config.times, samples)]
+    return series, derived, {"amplitude_vs_state_max_diff": float(max(gaps))}
 
 
 def _run_nonrel_limit(config: ScenarioConfig) -> _RunnerOutput:
@@ -641,7 +622,7 @@ SCENARIOS: dict[str, Scenario] = {
         _run_amended),
     "branch-demo": Scenario(
         {"grid": {"n": 512, "length": 2.0 * math.pi * 64.0 / 3.0},
-         "state": {"mode": {"index": 64}}},
+         "state": {"modes": [{"amplitude_re": 1.0, "amplitude_im": 0.0, "index": 64}]}},
         "plane wave on both frequency branches; the conserved density flips sign on the negative one",
         _run_branch_demo),
     "two-mode": Scenario(
@@ -657,7 +638,7 @@ SCENARIOS: dict[str, Scenario] = {
              for a, j in zip(_SCAN_AMPLITUDES, _SCAN_INDICES)
          ]},
          "times": [0.0, 2.5, 5.0]},
-        "multi-mode superposition; amplitude-space density scan cross-checked against the state density",
+        "multi-mode superposition; amplitude-space density cross-checked against the state density",
         _run_superposition_scan),
     "nonrel-limit": Scenario(
         {"units": {"hbar": 1.0, "c": 10.0, "m": 1.0},

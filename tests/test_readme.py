@@ -83,3 +83,14 @@ def test_readme_key_list_names_only_config_keys():
     named = [re.match(r"`([^`]+)`", bullet) for bullet in bullets]
     assert len(bullets) > 1
     assert [b for b, key in zip(bullets, named) if not (key and key.group(1) in keys)] == []
+
+
+def test_readme_state_sentence_names_only_the_catalogs_state_forms():
+    # The sentence that lists the state forms names, outside its
+    # parentheses, exactly the forms of the catalog defaults' state blocks,
+    # so that a removed form cannot linger there.
+    sentence, = re.findall(r"The `state` block takes the form of the scenario's default: (.*?)\.\s",
+                           README.read_text(), re.S)
+    named = set(re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", sentence, flags=re.S)))
+    forms = set().union(*(default_config(name)["state"] for name in SCENARIOS))
+    assert named == forms

@@ -68,7 +68,7 @@ def test_mode_entry_validation():
 
 
 SELECTOR_BLOCKS = {
-    "branch-demo": lambda selector: {"mode": selector},
+    "branch-demo": lambda selector: {"modes": [{"amplitude_re": 1.0, **selector}]},
     "superposition-scan": lambda selector: {"modes": [
         {"amplitude_re": 0.6, "index": 100}, {"amplitude_im": 0.8, **selector}]},
 }
@@ -316,6 +316,9 @@ REJECTED = {
                    "state.two_mode.a1_sq: expected a number, got None"),
     "omega2-infinite": (TWO_MODE % b'"omega2": 1e999', *CONFIG,
                         "state.two_mode.omega2: must be finite, got inf"),
+    # an integer literal longer than the interpreter converts to int
+    "int-past-the-digit-limit": (b'{"scenario": "amended", "grid": {"n": %s}}' % (b"1" * 5000),
+                                 *CONFIG, "config: Exceeds the limit (4300 digits)"),
     # packets past the support rule (x0=48, sigma=19.9 leaked 1.6e-10 under the
     # old 6 sigma rule), and one inside it that leaks 4.8e-6 into the Nyquist mode
     "packet-past-support": (_cfg(PC, state={"packet": {"sigma": 40.0}}), *BANDWIDTH, "support"),
@@ -327,13 +330,22 @@ REJECTED = {
         "Nyquist mode carries"),
     # mode entries; in the two k rows past the lattice k L / 2 pi overflows,
     # and in the last row the k entry rounds to index 5
-    "mode-index-past-the-lattice": (_cfg(BD, state={"mode": {"index": 256}}), *BANDWIDTH,
-                                    "outside the open lattice range"),
-    "mode-index-and-k": (_cfg(BD, state={"mode": {"index": 3, "k": 1.0}}), *CONFIG,
-                         "give exactly one of 'index' or 'k'"),
+    "mode-index-past-the-lattice": (
+        _cfg(BD, state={"modes": [{"amplitude_re": 1.0, "index": 256}]}), *BANDWIDTH,
+        "state.modes[0]: mode index 256 outside the open lattice range"),
+    "mode-index-and-k": (
+        _cfg(BD, state={"modes": [{"amplitude_re": 1.0, "index": 3, "k": 1.0}]}), *CONFIG,
+        "state.modes[0]: give exactly one of 'index' or 'k'"),
     "mode-k-past-the-lattice": (
-        _cfg(BD, state={"mode": {"k": 1e308}}), *BANDWIDTH,
-        "state.mode: wavenumber 1e+308 lies outside the resolvable lattice"),
+        _cfg(BD, state={"modes": [{"amplitude_re": 1.0, "k": 1e308}]}), *BANDWIDTH,
+        "state.modes[0]: wavenumber 1e+308 lies outside the resolvable lattice"),
+    # a lattice mode is a one-entry modes list: the single-mode shorthand is
+    # gone, and branch-demo's plane wave takes exactly one entry
+    "mode-shorthand": (_cfg(BD, state={"mode": {"index": 64}}), *CONFIG, "state.mode: unknown key"),
+    "branch-demo-two-modes": (
+        _cfg(BD, state={"modes": [{"amplitude_re": 0.6, "index": 3},
+                                  {"amplitude_re": 0.8, "index": 5}]}), *CONFIG,
+        "state.modes: branch-demo takes exactly one mode, got 2"),
     "modes-k-past-the-lattice": (
         _cfg(SCAN, grid={"length": 1e10}, state={"modes": [{"amplitude_re": 1.0, "k": 1e300}]}),
         *BANDWIDTH, "state.modes[0]: wavenumber 1e+300 lies outside the resolvable lattice"),
@@ -549,6 +561,10 @@ EVOLVE_CALLS = {
     "branch-demo": 2,
     "superposition-scan": 3,
 }
+# Amplitude-space densities per run: superposition-scan's cross-check takes
+# one per sample time, and every other scenario reads its minima off the
+# state's own density.
+DENSITY_CALLS = {"superposition-scan": 3}
 # (forward_transform + inverse_transform, rfft + irfft) per catalog pass.
 TRANSFORM_CALLS = {
     "packet-continuity": (24, 24),
@@ -559,15 +575,18 @@ TRANSFORM_CALLS = {
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_each_sample_is_evolved_once(tmp_path, monkeypatch, transform_calls, name):
-    calls = []
-    evolve = kg_lab.scenarios.evolve
+    calls, densities = [], []
+    evolve, density = kg_lab.scenarios.evolve, kg_lab.scenarios.superposition_density
     monkeypatch.setattr(kg_lab.scenarios, "evolve",
                         lambda state, t: calls.append(t) or evolve(state, t))
+    monkeypatch.setattr(kg_lab.scenarios, "superposition_density",
+                        lambda *args: densities.append(args) or density(*args))
     config = validate_config(_config_text(name))
     transform_calls.clear()  # validate builds the initial state; count the run alone
     run_scenario(config, tmp_path / "out", "csv")
     evolves = EVOLVE_CALLS.get(name, 1)
     assert len(calls) == evolves
+    assert len(densities) == DENSITY_CALLS.get(name, 0)
     assert transform_calls["rfft"] == transform_calls["irfft"]
     assert (transform_calls["forward_transform"] + transform_calls["inverse_transform"],
             transform_calls["rfft"] + transform_calls["irfft"]) == TRANSFORM_CALLS.get(name, (4, 2))
@@ -693,14 +712,14 @@ def mode_selectors(draw, n, length):
 
 @st.composite
 def state_blocks(draw):
-    """A config whose state block is a mode, modes or two_mode form on a
-    small grid."""
+    """A config whose state block is a one-entry modes list (branch-demo's
+    plane wave), a modes list or a two_mode pair on a small grid."""
     n, length = draw(st.sampled_from(SMALL_GRIDS))
-    form = draw(st.sampled_from(["mode", "modes", "two_mode"]))
-    if form == "mode":
-        name, block = "branch-demo", draw(mode_selectors(n, length))
-    elif form == "modes":
-        name = "superposition-scan"
+    name = draw(st.sampled_from(["branch-demo", "superposition-scan", "two-mode"]))
+    if name == "branch-demo":
+        form, block = "modes", [{"amplitude_re": 1.0, **draw(mode_selectors(n, length))}]
+    elif name == "superposition-scan":
+        form = "modes"
         selectors = draw(st.lists(mode_selectors(n, length), min_size=1, max_size=3))
         if draw(st.booleans()):  # a twin of the first entry: its index in the other form
             step, first = 2.0 * math.pi / length, selectors[0]
@@ -714,7 +733,7 @@ def state_blocks(draw):
         block = [{"amplitude_re": a.real, "amplitude_im": a.imag, **sel}
                  for a, sel in zip(raw, selectors)]
     else:
-        name = "two-mode"
+        form = "two_mode"
         a1_sq = draw(st.floats(0.05, 0.95))
         block = {"a1_sq": a1_sq, "a2_sq": 1.0 - a1_sq,
                  "omega1": draw(st.floats(1.0, 3.0)), "omega2": draw(st.floats(1.0, 3.0))}
@@ -787,7 +806,7 @@ def extreme_configs(draw):
 
 
 # An example takes a millisecond or two; 500 of them, about five for each
-# of the 99 (scenario, leaf) pairs, reach the rarer leaves, a mode's
+# of the 94 (scenario, leaf) pairs, reach the rarer leaves, a mode's
 # amplitude, its k or the box length, under every seed tried.
 @settings(deadline=None, max_examples=500)
 @given(extreme_configs())

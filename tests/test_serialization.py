@@ -257,8 +257,9 @@ def _amplitude_vs_state_max_diff(samples, meta, config):
 
 
 # The results read off the fields, by scenario: the reported value of one
-# series, by its label, and that value rebuilt from the series' samples,
-# _run.json and the config.
+# series, by its label, and that value rebuilt from the series' samples (a
+# sample is its summary row's scalars and its fields), _run.json and the
+# config.
 RESULTS_FROM_FIELDS = {
     "gamma-density": (lambda results, label: [row["max_rel_deviation"]
                                               for row in results["density_vs_gamma"]],
@@ -269,6 +270,8 @@ RESULTS_FROM_FIELDS = {
     "branch-demo": (lambda results, label: results["branches"][label]["density_ratio_mean"],
                     _per_sample(lambda sample, meta: np.mean(sample["rho_kg"]
                                                              / sample["rho_nonrel"]))),
+    "two-mode": (lambda results, label: results["min_density"],
+                 lambda samples, meta, config: min(sample["min_rho_kg"] for sample in samples)),
     "superposition-scan": (lambda results, label: results["amplitude_vs_state_max_diff"],
                            _amplitude_vs_state_max_diff),
 }
@@ -285,7 +288,7 @@ def _assert_dropped_columns_rebuild(config, label, blocks, rows, meta):
     gamma_bar = {row["t"]: row["gamma_bar"] for row in rows}
     assert len(blocks) == len(rows) == len(config.times)
     samples = []
-    for block, t in zip(blocks, config.times):
+    for block, row, t in zip(blocks, rows, config.times):
         assert (block["t"] == t).all()
         library = compute_fields(evolve(state, t))
         rebuilt = {"rho_nonrel": block["re_psi"] ** 2 + block["im_psi"] ** 2,
@@ -296,7 +299,7 @@ def _assert_dropped_columns_rebuild(config, label, blocks, rows, meta):
             assert np.array_equal(*bits), (label, t, name)
         if label == "negative":
             assert np.isnan(rebuilt["rho_amended"]).all() and np.isnan(rebuilt["j_amended"]).all()
-        samples.append({**block, **rebuilt})
+        samples.append({**row, **block, **rebuilt})
     if config.scenario in RESULTS_FROM_FIELDS:
         reported, rebuild = RESULTS_FROM_FIELDS[config.scenario]
         assert _bits(reported(meta["results"], label)) == \
